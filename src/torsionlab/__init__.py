@@ -10,20 +10,17 @@ Schwarz-type ratio.
 
 from .errors import (ConvergenceError, DeformationError, DomainError,
                      OracleError, TorsionLabError)
-from .geometry import (BishopGromovReport, ConformalChart, RadialMetric,
-                       TauValue, bishop_gromov_check, circle_length,
-                       cone_metric, cone_tau, disk_area, flat_chart,
-                       flat_metric, flat_tau, gauss_curvature,
-                       hyperbolic_metric, metric_from_spec, sphere_metric,
-                       tau_circle_upper_bound, user_metric)
+from .geometry import (BishopGromovReport, RadialMetric, TauValue,
+                       bishop_gromov_check, circle_length, cone_metric,
+                       cone_tau, disk_area, flat_metric, flat_tau,
+                       gauss_curvature, hyperbolic_metric, metric_from_spec,
+                       sphere_metric, tau_circle_upper_bound, user_metric)
 from .mesh import (TriMesh, boundary_geometry, build_disk_mesh,
                    build_ellipse_mesh, build_rectangle_mesh, load_mesh,
                    map_mesh, mesh_from_spec, save_mesh)
-from .solver import (EigenSolution, TorsionSolution, WeightField, cg_solve,
-                     solve_eigen, solve_torsion)
-from .radial_oracle import (OracleRigidity, RadialEigen, RadialProfile,
-                            flat_disk_torsion, oracle_rigidity, shoot_eigen,
-                            shoot_torsion, sweep_Q, sweep_eigen_Q)
+from .solver import Solution, cg_solve, solve_eigen, solve_torsion
+from .radial_oracle import (RadialEigen, RadialProfile, flat_disk_torsion,
+                            shoot_eigen, shoot_torsion, sweep_Q, sweep_eigen_Q)
 from .functionals import (EigenIsoperimetryRatio, IsoperimetryRatio,
                           RigidityReport, area, boundary_length,
                           boundary_normal_derivative,
@@ -32,14 +29,13 @@ from .functionals import (EigenIsoperimetryRatio, IsoperimetryRatio,
                           profile_rigidity, rigidity, superlevel_slice)
 from .shape import (FlowSpec, VariationReport, deform_mesh,
                     fd_validate_eigen, fd_validate_torsion, flow_from_spec,
-                    normal_speed, normal_x_flow, radial_flow,
-                    shape_derivative_eigen, shape_derivative_torsion,
-                    stretch_x_flow, translate_flow)
+                    normal_speed, radial_flow, shape_derivative_eigen,
+                    shape_derivative_torsion, stretch_x_flow, translate_flow)
 from .conformal import (ConformalMap, cubic_map, image_variation_diagnostic,
                         linear_map, map_from_spec, moebius_map,
                         monotonicity_verdict, phi_small_r_limit,
-                        pullback_weight, pullback_weight_fn, quad_map,
-                        rigidity_of_image, schwarz_ratio_sweep)
+                        pullback_weight, quad_map, rigidity_of_image,
+                        schwarz_ratio_sweep)
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,7 @@ from .errors import DomainError
 from .mesh import build_disk_mesh, map_mesh
 from .radial_oracle import flat_disk_torsion
 from .shape import fd_validate_torsion, radial_flow
-from .solver import WeightField, solve_torsion
+from .solver import solve_torsion
 from .functionals import rigidity
 
 _GRID_TOL = 1e-12
@@ -133,25 +133,16 @@ def _complex_points(points) -> np.ndarray:
     return points[:, 0] + 1j * points[:, 1]
 
 
-def pullback_weight(cmap: ConformalMap, mesh) -> WeightField:
-    """Per-vertex weight |f'(z_i)|^2 of the pullback chart."""
-    z = _complex_points(mesh.vertices)
-    if np.any(np.abs(z) >= cmap.univalence_radius):
-        raise DomainError(
-            f"mesh leaves the univalence radius {cmap.univalence_radius:g} "
-            f"of map {cmap.name!r}"
-        )
-    return WeightField(np.abs(np.asarray(cmap.deriv(z))) ** 2)
-
-
-def pullback_weight_fn(cmap: ConformalMap):
-    """Exact pointwise |f'|^2, for quadrature-point evaluation."""
+def pullback_weight(cmap: ConformalMap):
+    """Area weight |f'|^2 of the pullback chart, as a callable on points."""
 
     def weight(points):
         z = _complex_points(points)
         if np.any(np.abs(z) >= cmap.univalence_radius):
-            raise DomainError(f"points leave the univalence radius of "
-                              f"map {cmap.name!r}")
+            raise DomainError(
+                f"points leave the univalence radius "
+                f"{cmap.univalence_radius:g} of map {cmap.name!r}"
+            )
         return np.abs(np.asarray(cmap.deriv(z))) ** 2
 
     return weight
@@ -171,7 +162,7 @@ def rigidity_of_image(cmap: ConformalMap, r: float, gamma: float,
                           f"{cmap.univalence_radius:g}) of map {cmap.name!r}")
     disk = build_disk_mesh(r, n_rings)
     if route == "pullback":
-        sol = solve_torsion(disk, gamma, weight=pullback_weight(cmap, disk),
+        sol = solve_torsion(disk, gamma, weight=pullback_weight(cmap),
                             **solve_kw)
     elif route == "direct":
         sol = solve_torsion(map_mesh(disk, cmap), gamma, **solve_kw)
@@ -242,4 +233,4 @@ def image_variation_diagnostic(cmap: ConformalMap, gamma: float, r: float,
                           f"map {cmap.name!r}")
     mesh = build_disk_mesh(r, n_rings)
     return fd_validate_torsion(mesh, gamma, radial_flow(), step=step,
-                               weight=pullback_weight_fn(cmap), **solve_kw)
+                               weight=pullback_weight(cmap), **solve_kw)

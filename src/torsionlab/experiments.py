@@ -234,39 +234,24 @@ def _cmd_variation(args):
 
 def _cmd_radial(args):
     metric = geometry.metric_from_spec(args.metric)
-    tables = {}
-    if args.grid is not None:
-        r_grid = _parse_grid(args.grid)
-        tau = _resolve_tau(metric, args.tau, r_grid)
-        rows = radial_oracle.sweep_Q(metric, args.gamma, tau, r_grid)
-        qs = np.array([row["Q"] for row in rows])
-        diffs = np.diff(qs)
-        worst = float(diffs.min()) if diffs.size else 0.0
-        outputs = {"tau": tau, "rows": rows,
-                   "min_forward_diff": worst}
-        verdicts = [
-            _check("Q-nondecreasing", -worst, 1e-9 * float(np.abs(qs).max())),
-        ]
-        tables["sweep.csv"] = (("r", "T", "Q"),
-                               [(row["r"], row["T"], row["Q"]) for row in rows])
-    else:
-        prof = radial_oracle.shoot_torsion(metric, args.gamma, args.radius)
-        rig = radial_oracle.oracle_rigidity(prof)
-        outputs = {
-            "alpha": prof.alpha,
-            "T": rig.T,
-            "I_gamma": rig.I_gamma,
-            "flux": rig.flux,
-            "flux_L1": prof.flux_l1,
-            "area": prof.area,
-            "length": prof.length,
-        }
-        verdicts = [
-            _check("green-identity", _rel(prof.flux_l1, prof.i_gamma), 1e-6),
-        ]
+    prof = radial_oracle.shoot_torsion(metric, args.gamma, args.radius)
+    outputs = {
+        "alpha": prof.alpha,
+        "T": prof.torsion,
+        "I_gamma": prof.i_gamma,
+        "flux": prof.boundary_slope,
+        "flux_L1": prof.flux_l1,
+        "area": prof.area,
+        "length": prof.length,
+    }
+    verdicts = [
+        _check("green-identity", _rel(prof.flux_l1, prof.i_gamma), 1e-6),
+    ]
+    # The Q sweep is the monotonicity subcommand; its grid and tau inputs
+    # stay null here so that schema-1 radial reports keep their keys.
     inputs = {"metric": args.metric, "gamma": args.gamma,
-              "radius": args.radius, "grid": args.grid, "tau": args.tau}
-    return _payload("radial", inputs, outputs, verdicts), tables, {}
+              "radius": args.radius, "grid": None, "tau": None}
+    return _payload("radial", inputs, outputs, verdicts), {}, {}
 
 
 def _cmd_monotonicity(args):
@@ -446,7 +431,7 @@ class _Workbench:
             self._torsion[key] = (sol, functionals.rigidity(sol))
         return self._torsion[key]
 
-    def eigen(self, spec: str) -> solver.EigenSolution:
+    def eigen(self, spec: str) -> solver.Solution:
         if spec not in self._eigen:
             self._eigen[spec] = solver.solve_eigen(self.mesh(spec))
         return self._eigen[spec]
@@ -794,19 +779,77 @@ def _emit(args, payload, tables, files):
             fh.write(content)
 
 
-def _add_common(sp):
-    sp.add_argument("--out", default=None,
-                    help="directory for report and table files")
-    sp.add_argument("--format", choices=("json", "csv", "both"), default="json",
-                    help="what to write under --out (stdout is always JSON)")
-    sp.add_argument("--params", default=None,
-                    help="key=value file overriding the defaults above")
+# Every option a subcommand may take: flag -> argparse keywords.  Defaults
+# differ between subcommands, so each table entry below supplies its own.
+_OPTIONS = {
+    "mesh": {},
+    "metric": {},
+    "map": {"help": "linear:a[:b] | quad:c | cubic:c | moebius:c"},
+    "gamma": {"type": float},
+    "tau": {"type": float,
+            "help": "isoperimetric constant (default: 4*pi on meshes; the "
+                    "exact value on flat and cone metrics, else the "
+                    "geodesic-circle upper bound)"},
+    "radius": {"type": float},
+    "grid": {"help": "start:stop:count or comma list of radii"},
+    "tol": {"type": float},
+    "max-iter": {"type": int},
+    "damping": {"type": float},
+    "flow": {"help": "radial | translate:dx,dy | stretch-x"},
+    "h": {"type": float},
+    "eigen": {"action": "store_true",
+              "help": "vary the principal eigenvalue instead of the torsion"},
+    "tol-rel": {"type": float},
+    "n-rings": {"type": int},
+    "route": {"choices": ("pullback", "direct")},
+    "radii": {},
+    "base-radius": {"type": float},
+    "levels": {"type": int},
+    "out": {"help": "directory for report and table files"},
+    "format": {"choices": ("json", "csv", "both"),
+               "help": "what to write under --out (stdout is always JSON)"},
+    "params": {"help": "key=value file overriding the defaults above"},
+}
 
+# Option groups shared by several subcommands: flag -> default.
+_TORSION = {"mesh": "disk:1:60", "gamma": 0.0}
+_SOLVER = {"tol": 1e-10, "max-iter": 200, "damping": 1.0}
+_COMMON = {"out": None, "format": "json", "params": None}
 
-def _add_solver_opts(sp, tol=1e-10, max_iter=200):
-    sp.add_argument("--tol", type=float, default=tol)
-    sp.add_argument("--max-iter", type=int, default=max_iter, dest="max_iter")
-    sp.add_argument("--damping", type=float, default=1.0)
+# One entry per subcommand: name, help, options with defaults, handler.
+_SUBCOMMANDS = (
+    ("solve", "solve one torsion problem and report its functionals",
+     {**_TORSION, **_SOLVER}, _cmd_solve),
+    ("isoperimetry", "test the torsion isoperimetric inequality",
+     {**_TORSION, "tau": None, **_SOLVER}, _cmd_isoperimetry),
+    ("eigen-isoperimetry", "test the eigenvalue form of the inequality",
+     {"mesh": "disk:1:60", "tau": None, "tol": 1e-12, "max-iter": 500},
+     _cmd_eigen_isoperimetry),
+    ("variation", "compare the boundary-integral first variation against "
+                  "finite differences",
+     {"mesh": "disk:1:80", "gamma": 0.3, "flow": "radial", "h": 1e-3,
+      "eigen": False, "tol-rel": 2e-2, **_SOLVER}, _cmd_variation),
+    ("radial", "radial oracle: one shooting solve on a geodesic disk",
+     {"metric": "flat", "gamma": 0.5, "radius": 1.0}, _cmd_radial),
+    ("monotonicity", "sweep the normalized torsion along radii",
+     {"metric": "cone:0.5", "gamma": 0.0, "tau": None, "grid": "0.5:3:6"},
+     _cmd_monotonicity),
+    ("eigen-monotonicity", "sweep the normalized eigenvalue along radii",
+     {"metric": "cone:0.5", "tau": None, "grid": "0.5:2:4"},
+     _cmd_eigen_monotonicity),
+    ("schwarz", "sweep the image-to-disk torsion ratio of a conformal map",
+     {"map": "quad:0.2", "gamma": 0.5, "grid": "0.2:0.9:8", "n-rings": 40,
+      "route": "pullback"}, _cmd_schwarz),
+    ("scaling", "check the dilation power law for the torsion",
+     {"metric": "flat", "gamma": 0.5, "radii": "0.5,2", "base-radius": 1.0},
+     _cmd_scaling),
+    ("levelsets", "superlevel areas, masses, and level-line fluxes",
+     {**_TORSION, "levels": 10, **_SOLVER}, _cmd_levelsets),
+    ("acceptance", "run the full verification battery twice and check "
+                   "determinism", {}, _cmd_acceptance),
+)
+
+_COMMANDS = {name: handler for name, _, _, handler in _SUBCOMMANDS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -816,120 +859,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on flat, conic, and conformally mapped domains.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="experiment")
-
-    sp = sub.add_parser("solve", help="solve one torsion problem and report "
-                                      "its functionals")
-    sp.add_argument("--mesh", default="disk:1:60")
-    sp.add_argument("--gamma", type=float, default=0.0)
-    _add_solver_opts(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("isoperimetry",
-                        help="test the torsion isoperimetric inequality")
-    sp.add_argument("--mesh", default="disk:1:60")
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--tau", type=float, default=None,
-                    help="isoperimetric constant (default: flat, 4*pi)")
-    _add_solver_opts(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("eigen-isoperimetry",
-                        help="test the eigenvalue form of the inequality")
-    sp.add_argument("--mesh", default="disk:1:60")
-    sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--max-iter", type=int, default=500, dest="max_iter")
-    _add_common(sp)
-
-    sp = sub.add_parser("variation",
-                        help="compare the boundary-integral first variation "
-                             "against finite differences")
-    sp.add_argument("--mesh", default="disk:1:80")
-    sp.add_argument("--gamma", type=float, default=0.3)
-    sp.add_argument("--flow", default="radial",
-                    help="radial | translate:dx,dy | normal-x | stretch-x")
-    sp.add_argument("--h", type=float, default=1e-3)
-    sp.add_argument("--eigen", action="store_true",
-                    help="vary the principal eigenvalue instead of the torsion")
-    sp.add_argument("--tol-rel", type=float, default=2e-2, dest="tol_rel")
-    _add_solver_opts(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("radial",
-                        help="radial oracle: one shooting solve, or a Q sweep "
-                             "with --grid")
-    sp.add_argument("--metric", default="flat")
-    sp.add_argument("--gamma", type=float, default=0.5)
-    sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--grid", default=None,
-                    help="start:stop:count or comma list of radii")
-    sp.add_argument("--tau", type=float, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("monotonicity",
-                        help="sweep the normalized torsion along radii")
-    sp.add_argument("--metric", default="cone:0.5")
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--grid", default="0.5:3:6")
-    _add_common(sp)
-
-    sp = sub.add_parser("eigen-monotonicity",
-                        help="sweep the normalized eigenvalue along radii")
-    sp.add_argument("--metric", default="cone:0.5")
-    sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--grid", default="0.5:2:4")
-    _add_common(sp)
-
-    sp = sub.add_parser("schwarz",
-                        help="sweep the image-to-disk torsion ratio of a "
-                             "conformal map")
-    sp.add_argument("--map", default="quad:0.2",
-                    help="linear:a[:b] | quad:c | cubic:c | moebius:c")
-    sp.add_argument("--gamma", type=float, default=0.5)
-    sp.add_argument("--grid", default="0.2:0.9:8")
-    sp.add_argument("--n-rings", type=int, default=40, dest="n_rings")
-    sp.add_argument("--route", choices=("pullback", "direct"),
-                    default="pullback")
-    _add_common(sp)
-
-    sp = sub.add_parser("scaling",
-                        help="check the dilation power law for the torsion")
-    sp.add_argument("--metric", default="flat")
-    sp.add_argument("--gamma", type=float, default=0.5)
-    sp.add_argument("--radii", default="0.5,2")
-    sp.add_argument("--base-radius", type=float, default=1.0, dest="base_radius")
-    _add_common(sp)
-
-    sp = sub.add_parser("levelsets",
-                        help="superlevel areas, masses, and level-line fluxes")
-    sp.add_argument("--mesh", default="disk:1:60")
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--levels", type=int, default=10)
-    _add_solver_opts(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("acceptance",
-                        help="run the full verification battery twice and "
-                             "check determinism")
-    _add_common(sp)
-
+    for name, help_text, options, _ in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, default in {**options, **_COMMON}.items():
+            sp.add_argument(f"--{flag}", default=default, **_OPTIONS[flag])
     return parser
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "isoperimetry": _cmd_isoperimetry,
-    "eigen-isoperimetry": _cmd_eigen_isoperimetry,
-    "variation": _cmd_variation,
-    "radial": _cmd_radial,
-    "monotonicity": _cmd_monotonicity,
-    "eigen-monotonicity": _cmd_eigen_monotonicity,
-    "schwarz": _cmd_schwarz,
-    "scaling": _cmd_scaling,
-    "levelsets": _cmd_levelsets,
-    "acceptance": _cmd_acceptance,
-}
 
 
 def main(argv=None) -> int:

@@ -19,8 +19,8 @@ import dataclasses
 import numpy as np
 
 from .mesh import boundary_geometry
-from .solver import (WeightField, _weight_fn, integrate_midpoint,
-                     midpoint_values, p1_gradients, weight_midpoints)
+from .solver import (integrate_midpoint, midpoint_values, nodal_weight,
+                     p1_gradients, weight_midpoints)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,17 +45,10 @@ def boundary_normal_derivative(mesh, u):
     return np.einsum("ed,ed->e", grads, normals), lengths
 
 
-def _boundary_weight(mesh, weight):
-    """Metric weight e^{2 phi} at boundary edge midpoints."""
-    if weight is None:
-        return np.ones(len(mesh.boundary_edges))
-    if isinstance(weight, WeightField):
-        vals = weight.values
-        return 0.5 * (vals[mesh.boundary_edges[:, 0]]
-                      + vals[mesh.boundary_edges[:, 1]])
-    fn = _weight_fn(weight)
-    mids = boundary_geometry(mesh)[0]
-    return np.asarray(fn(mids), dtype=float)
+def _boundary_weight(mesh, w_nodal):
+    """Nodal metric weight e^{2 phi} averaged onto the boundary edges."""
+    return 0.5 * (w_nodal[mesh.boundary_edges[:, 0]]
+                  + w_nodal[mesh.boundary_edges[:, 1]])
 
 
 def area(mesh, weight=None) -> float:
@@ -67,7 +60,8 @@ def area(mesh, weight=None) -> float:
 def boundary_length(mesh, weight=None) -> float:
     """Metric length of the boundary polygon (dL_g = e^{phi} dL_e)."""
     lengths = boundary_geometry(mesh)[2]
-    return float(np.sum(lengths * np.sqrt(_boundary_weight(mesh, weight))))
+    w_b = _boundary_weight(mesh, nodal_weight(mesh, weight))
+    return float(np.sum(lengths * np.sqrt(w_b)))
 
 
 def rigidity(solution) -> RigidityReport:
@@ -159,7 +153,7 @@ class EigenIsoperimetryRatio:
 
 
 def eigen_isoperimetry_ratio(eig, tau) -> EigenIsoperimetryRatio:
-    """Works on a FEM EigenSolution or a radial oracle eigen profile."""
+    """Works on a FEM ground mode or a radial oracle eigen profile."""
     tau_v = _check_tau(tau)
     if hasattr(eig, "i1"):
         lhs, i1, lam = 1.0, eig.i1, eig.lam
@@ -216,11 +210,10 @@ def _clip_above(points, values, w_values, t):
     return np.asarray(poly_p), poly_u, poly_w, (chord[0], chord[1])
 
 
-def _polygon_quadrature(poly_p, poly_u, poly_w, gamma, w_fn):
+def _polygon_quadrature(poly_p, poly_u, poly_w, gamma):
     """(area, moment of u^gamma) over a convex polygon, u and w linear.
 
-    Fan triangulation from vertex 0 with the edge-midpoint rule; when w_fn
-    is given the weight is evaluated there instead of interpolated.
+    Fan triangulation from vertex 0 with the edge-midpoint rule.
     """
     a_sum = 0.0
     i_sum = 0.0
@@ -233,13 +226,8 @@ def _polygon_quadrature(poly_p, poly_u, poly_w, gamma, w_fn):
             continue
         u1, u2 = poly_u[k], poly_u[k + 1]
         mids_u = (0.5 * (u0 + u1), 0.5 * (u1 + u2), 0.5 * (u2 + u0))
-        if w_fn is not None:
-            mids_p = np.array([0.5 * (p0 + p1), 0.5 * (p1 + p2),
-                               0.5 * (p2 + p0)])
-            mids_w = np.asarray(w_fn(mids_p), dtype=float)
-        else:
-            w1, w2 = poly_w[k], poly_w[k + 1]
-            mids_w = (0.5 * (w0 + w1), 0.5 * (w1 + w2), 0.5 * (w2 + w0))
+        w1, w2 = poly_w[k], poly_w[k + 1]
+        mids_w = (0.5 * (w0 + w1), 0.5 * (w1 + w2), 0.5 * (w2 + w0))
         for um, wm in zip(mids_u, mids_w):
             a_sum += tri_area / 3.0 * wm
             i_sum += tri_area / 3.0 * wm * max(um, 0.0) ** gamma
@@ -268,28 +256,17 @@ def superlevel_slice(solution, t: float) -> dict:
     i_val = float(i_tri[full].sum())
     flux = 0.0
 
-    weight = solution.weight
-    nodal_w = None
-    w_fn = None
-    if weight is None:
-        nodal_w = np.ones(len(mesh.vertices))
-    elif isinstance(weight, WeightField):
-        nodal_w = weight.values
-    else:
-        w_fn = _weight_fn(weight)
-
     grads = p1_gradients(mesh, u)
     verts = mesh.vertices
     for ti in np.nonzero(straddle)[0]:
         tri = mesh.triangles[ti]
         pts = verts[tri]
         vals = u[tri]
-        wv = nodal_w[tri] if nodal_w is not None else np.zeros(3)
-        clipped = _clip_above(pts, list(vals), list(wv), t)
+        clipped = _clip_above(pts, list(vals), list(solution.weight[tri]), t)
         if clipped is None:
             continue
         poly_p, poly_u, poly_w, chord = clipped
-        da, di = _polygon_quadrature(poly_p, poly_u, poly_w, gamma, w_fn)
+        da, di = _polygon_quadrature(poly_p, poly_u, poly_w, gamma)
         a_val += da
         i_val += di
         if chord is not None:

@@ -1,14 +1,10 @@
-"""Rotationally symmetric metrics, conformal charts, and isoperimetric data.
+"""Rotationally symmetric metrics and isoperimetric data.
 
 A rotationally symmetric surface is described in geodesic polar coordinates
 by a warp function f, with metric dr^2 + f(r)^2 dtheta^2.  Geodesic circles
 about the pole have length 2*pi*f(r), geodesic disks have area
 2*pi*int_0^r f(s) ds, and the Gauss curvature is -f''(r)/f(r).  Smoothness
 at the pole requires f(0) = 0 and f'(0) = 1.
-
-A planar domain can instead carry a conformal metric e^{2*phi} (dx^2+dy^2).
-Area and length elements pick up weights e^{2*phi} and e^{phi}; the 2D
-Dirichlet integral is conformally invariant and carries no weight at all.
 
 The isoperimetric constant tau = inf (boundary length)^2 / area enters the
 rigidity inequalities as an input.  It is represented by :class:`TauValue`,
@@ -283,37 +279,3 @@ def metric_from_spec(spec: str) -> RadialMetric:
         return user_metric(spec.split(":", 1)[1])
     raise ValueError(f"unrecognized metric spec {spec!r}")
 
-
-@dataclasses.dataclass(frozen=True)
-class ConformalChart:
-    """Planar chart carrying the metric e^{2*phi} (dx^2 + dy^2).
-
-    ``log_factor`` maps coordinate arrays (x, y) to phi.  ``domain_bound``
-    optionally records a radius about the origin within which the chart is
-    valid; None means the whole plane.
-    """
-
-    log_factor: object
-    domain_bound: float | None = None
-    name: str = "chart"
-
-    def weight_values(self, points) -> np.ndarray:
-        """Area weight e^{2*phi} at an (n, 2) array of points."""
-        pts = np.asarray(points, dtype=float)
-        if self.domain_bound is not None:
-            rad = np.hypot(pts[:, 0], pts[:, 1])
-            if np.any(rad >= self.domain_bound):
-                raise DomainError(
-                    f"points reach radius {rad.max():g}, outside chart bound "
-                    f"{self.domain_bound:g}"
-                )
-        phi = np.asarray(self.log_factor(pts[:, 0], pts[:, 1]), dtype=float)
-        w = np.exp(2.0 * phi)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("chart weight is not finite on the given points")
-        return w
-
-
-def flat_chart() -> ConformalChart:
-    return ConformalChart(log_factor=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-                          name="flat")

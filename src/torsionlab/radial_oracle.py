@@ -72,8 +72,42 @@ def _integrate_torsion(metric, gamma, radius, alpha, r0, augmented):
     return sol
 
 
+class _ShotProfile:
+    """Evaluation of a shot radial profile: the dense ODE solution scaled by
+    ``_scale``, with the series start ``_series`` below r0 = ``_r0``."""
+
+    @property
+    def r_nodes(self) -> np.ndarray:
+        return self._sol.t
+
+    @property
+    def u_values(self) -> np.ndarray:
+        return self._scale * self._sol.y[0]
+
+    @property
+    def du_values(self) -> np.ndarray:
+        return self._scale * self._sol.y[1]
+
+    def value(self, r):
+        """u(r) for r in [0, radius]."""
+        return self._eval(r, 0)
+
+    def slope(self, r):
+        """u'(r) for r in [0, radius]."""
+        return self._eval(r, 1)
+
+    def _eval(self, r, comp):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0.0) or np.any(r > self.radius * (1.0 + 1e-12)):
+            raise DomainError(f"radius outside [0, {self.radius}]")
+        rc = np.minimum(r, self.radius)
+        inner = self._series(rc, comp)
+        outer = self._sol.sol(np.maximum(rc, self._r0))[comp]
+        return self._scale * np.where(rc < self._r0, inner, outer)
+
+
 @dataclasses.dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(_ShotProfile):
     """Converged radial torsion solution with its area integrals.
 
     ``torsion`` is int |grad u|^2 dA, ``i_gamma`` and ``i_one_plus_gamma``
@@ -98,40 +132,11 @@ class RadialProfile:
     _r0: float = dataclasses.field(repr=False, compare=False)
     _scale: float = dataclasses.field(default=1.0, repr=False, compare=False)
 
-    @property
-    def r_nodes(self) -> np.ndarray:
-        return self._sol.t
-
-    @property
-    def u_values(self) -> np.ndarray:
-        return self._scale * self._sol.y[0]
-
-    @property
-    def du_values(self) -> np.ndarray:
-        return self._scale * self._sol.y[1]
-
-    def value(self, r):
-        """u(r) for r in [0, radius]."""
-        return self._eval(r, 0)
-
-    def slope(self, r):
-        """u'(r) for r in [0, radius]."""
-        return self._eval(r, 1)
-
     def _series(self, rc, comp):
         ag = self.alpha ** self.gamma
         if comp == 0:
             return self.alpha - ag * rc * rc / 4.0
         return -ag * rc / 2.0
-
-    def _eval(self, r, comp):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > self.radius * (1.0 + 1e-12)):
-            raise DomainError(f"radius outside [0, {self.radius}]")
-        rc = np.minimum(r, self.radius)
-        inner = self._series(rc, comp)
-        outer = self._scale * self._sol.sol(np.maximum(rc, self._r0))[comp]
-        return np.where(rc < self._r0, inner, outer)
 
 
 def shoot_torsion(metric: RadialMetric, gamma: float, radius: float,
@@ -193,21 +198,6 @@ def shoot_torsion(metric: RadialMetric, gamma: float, radius: float,
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class OracleRigidity:
-    """Headline numbers of a profile: T, the moment of u^gamma, and u'(R)."""
-
-    T: float
-    I_gamma: float
-    flux: float
-
-
-def oracle_rigidity(profile: RadialProfile) -> OracleRigidity:
-    """T = 2pi int u^(1+gamma) f dr, I_gamma likewise for u^gamma, flux = u'(R)."""
-    return OracleRigidity(T=profile.torsion, I_gamma=profile.i_gamma,
-                          flux=profile.boundary_slope)
-
-
 @functools.lru_cache(maxsize=None)
 def _flat_unit_disk_torsion(gamma: float) -> float:
     return shoot_torsion(flat_metric(), gamma, 1.0).torsion
@@ -245,7 +235,7 @@ def _integrate_eigen(metric, lam, radius, r0, count_zeros=False, augmented=False
 
 
 @dataclasses.dataclass(frozen=True)
-class RadialEigen:
+class RadialEigen(_ShotProfile):
     """Ground mode on a geodesic disk, normalized to unit weighted L2 norm.
 
     ``i1`` is int u dA; the divergence theorem gives lam * i1 = flux_l1.
@@ -264,33 +254,10 @@ class RadialEigen:
     _r0: float = dataclasses.field(repr=False, compare=False)
     _scale: float = dataclasses.field(repr=False, compare=False)
 
-    @property
-    def r_nodes(self) -> np.ndarray:
-        return self._sol.t
-
-    @property
-    def u_values(self) -> np.ndarray:
-        return self._scale * self._sol.y[0]
-
-    @property
-    def du_values(self) -> np.ndarray:
-        return self._scale * self._sol.y[1]
-
-    def value(self, r):
-        return self._eval(r, 0)
-
-    def slope(self, r):
-        return self._eval(r, 1)
-
-    def _eval(self, r, comp):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > self.radius * (1.0 + 1e-12)):
-            raise DomainError(f"radius outside [0, {self.radius}]")
-        rc = np.minimum(r, self.radius)
-        inner = (1.0 - self.lam * rc * rc / 4.0 if comp == 0
-                 else -self.lam * rc / 2.0)
-        outer = self._sol.sol(np.maximum(rc, self._r0))[comp]
-        return self._scale * np.where(rc < self._r0, inner, outer)
+    def _series(self, rc, comp):
+        if comp == 0:
+            return 1.0 - self.lam * rc * rc / 4.0
+        return -self.lam * rc / 2.0
 
 
 def shoot_eigen(metric: RadialMetric, radius: float,

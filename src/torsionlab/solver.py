@@ -2,8 +2,9 @@
 
 The Dirichlet energy is conformally invariant in two dimensions, so the
 stiffness matrix never sees the metric; only area integrals (mass, load,
-energies) carry the conformal weight e^{2 phi}, sampled at the three edge
-midpoints of each triangle.  That quadrature is exact for quadratics, which
+energies) carry the conformal weight e^{2 phi}.  The weight is sampled at
+the vertices and interpolated to the three edge midpoints of each triangle,
+the quadrature points.  That quadrature is exact for quadratics, which
 makes the consistent mass matrix and the load vector of a P1 weight agree
 row by row: M 1 = F(w).  Both nonlinear loops are deterministic; reruns of
 the same inputs produce bit-identical iterates.
@@ -21,54 +22,6 @@ from .errors import ConvergenceError
 _MIDPOINT_PAIRS = ((1, 2), (2, 0), (0, 1))  # midpoint q sits opposite vertex q
 
 
-@dataclasses.dataclass(frozen=True)
-class WeightField:
-    """Per-vertex metric area weight w_i = e^{2 phi(x_i, y_i)}, all positive."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if vals.ndim != 1:
-            raise ValueError("weight values must be a flat per-vertex array")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-            raise ValueError("weight values must be finite and positive")
-        object.__setattr__(self, "values", vals)
-        vals.setflags(write=False)
-
-    @classmethod
-    def ones(cls, mesh) -> "WeightField":
-        return cls(np.ones(len(mesh.vertices)))
-
-    @classmethod
-    def from_function(cls, mesh, fn) -> "WeightField":
-        return cls(np.asarray(fn(mesh.vertices), dtype=float))
-
-    @classmethod
-    def from_chart(cls, mesh, chart) -> "WeightField":
-        return cls(chart.weight_values(mesh.vertices))
-
-
-def _weight_fn(weight):
-    if weight is None:
-        return None
-    if hasattr(weight, "weight_values"):
-        return weight.weight_values
-    if callable(weight):
-        return weight
-    raise TypeError(f"weight must be None, a WeightField, a chart, or a "
-                    f"callable, got {weight!r}")
-
-
-def midpoint_coords(mesh) -> np.ndarray:
-    """Edge midpoints per triangle, shape (ntri, 3, 2); slot q faces vertex q."""
-    p = mesh.vertices[mesh.triangles]
-    out = np.empty_like(p)
-    for q, (a, b) in enumerate(_MIDPOINT_PAIRS):
-        out[:, q] = 0.5 * (p[:, a] + p[:, b])
-    return out
-
-
 def midpoint_values(mesh, u) -> np.ndarray:
     """Nodal P1 field evaluated at the edge midpoints, shape (ntri, 3)."""
     un = np.asarray(u, dtype=float)[mesh.triangles]
@@ -78,21 +31,34 @@ def midpoint_values(mesh, u) -> np.ndarray:
     return out
 
 
+def nodal_weight(mesh, weight) -> np.ndarray:
+    """Metric area weight e^{2 phi} sampled once at the mesh vertices.
+
+    ``weight`` is None (the plane, all ones) or a callable mapping an (n, 2)
+    point array to n values.  The samples must be finite and positive; the
+    returned array is read-only and is the P1 weight every consumer reads.
+    """
+    n = len(mesh.vertices)
+    if weight is None:
+        vals = np.ones(n)
+    else:
+        vals = np.array(weight(mesh.vertices), dtype=float)
+    if vals.shape != (n,):
+        raise ValueError(f"weight must give one value per vertex: expected "
+                         f"shape ({n},), got {vals.shape}")
+    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+        raise ValueError("weight values must be finite and positive")
+    vals.setflags(write=False)
+    return vals
+
+
 def weight_midpoints(mesh, weight) -> np.ndarray:
     """Metric area weight at the quadrature points; all ones for the plane.
 
-    A WeightField is interpolated from its vertex values; charts and bare
-    callables are evaluated at the midpoints directly.
+    The weight is sampled at the vertices and interpolated linearly to the
+    edge midpoints.
     """
-    if weight is None:
-        return np.ones((len(mesh.triangles), 3))
-    if isinstance(weight, WeightField):
-        if len(weight.values) != len(mesh.vertices):
-            raise ValueError("weight field does not match the mesh")
-        return midpoint_values(mesh, weight.values)
-    fn = _weight_fn(weight)
-    pts = midpoint_coords(mesh).reshape(-1, 2)
-    return np.asarray(fn(pts), dtype=float).reshape(len(mesh.triangles), 3)
+    return midpoint_values(mesh, nodal_weight(mesh, weight))
 
 
 def _edge_vectors(mesh) -> np.ndarray:
@@ -207,46 +173,31 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None):
 
 
 @dataclasses.dataclass(frozen=True)
-class TorsionSolution:
-    """Fixed point of the torsion problem lap u = -u^gamma, u = 0 on the edge.
+class Solution:
+    """Converged FEM field: a torsion fixed point or a ground mode.
 
-    ``u`` is nodal on the full mesh (zeros on the boundary), ``w_mid`` the
-    metric weight at the quadrature points used during assembly, and
-    ``residuals`` the sup-norm Picard increments, one entry per iteration.
+    ``u`` is nodal on the full mesh (zeros on the boundary) and ``weight``
+    the nodal metric weight the problem was assembled with; ``w_mid`` is
+    its interpolant at the quadrature points.  A torsion solution of
+    lap u = -u^gamma carries ``gamma``; a ground mode of lap u = -lam u,
+    normalised to unit weighted L2 norm with u > 0 inside, carries ``lam``.
+    ``residuals`` holds the increments of the iteration, one per step.
     """
 
     mesh: object
-    gamma: float
     u: np.ndarray
-    w_mid: np.ndarray
+    weight: np.ndarray
     iterations: int
     residuals: tuple
-    weight: object = None
+    gamma: float | None = None
+    lam: float | None = None
+    w_mid: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         self.u.setflags(write=False)
-        self.w_mid.setflags(write=False)
-
-    @property
-    def residual(self) -> float:
-        return self.residuals[-1] if self.residuals else 0.0
-
-
-@dataclasses.dataclass(frozen=True)
-class EigenSolution:
-    """Ground mode of lap u = -lam u with unit weighted L2 norm, u > 0 inside."""
-
-    mesh: object
-    lam: float
-    u: np.ndarray
-    w_mid: np.ndarray
-    iterations: int
-    residuals: tuple
-    weight: object = None
-
-    def __post_init__(self):
-        self.u.setflags(write=False)
-        self.w_mid.setflags(write=False)
+        w_mid = midpoint_values(self.mesh, self.weight)
+        w_mid.setflags(write=False)
+        object.__setattr__(self, "w_mid", w_mid)
 
     @property
     def residual(self) -> float:
@@ -260,8 +211,15 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+def _check_stopping(tol, max_iter):
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
-                  cg_tol=1e-12, damping=1.0, initial=None) -> TorsionSolution:
+                  cg_tol=1e-12, damping=1.0, initial=None) -> Solution:
     """Damped Picard iteration for the semilinear torsion problem.
 
     Each step solves the linear problem with source max(u, 0)^gamma frozen
@@ -270,15 +228,20 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     falls back to half its starting value if the sup-norm increment ever
     grows.  gamma = 0 converges in one sweep.  ``initial`` warm-starts the
     loop from a nearby solution (boundary values are forced to zero).
+    ``weight`` is None or a callable e^{2 phi}, sampled at the vertices by
+    :func:`nodal_weight`.  Raises ValueError for gamma outside [0, 1), a
+    nonpositive tol, max_iter below 1 or an invalid weight.
     """
     gamma = _check_gamma(gamma)
+    _check_stopping(tol, max_iter)
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     interior = mesh.interior_vertices
     if len(interior) == 0:
         raise ValueError("mesh has no interior vertices to solve on")
     K = assemble_stiffness(mesh)[interior][:, interior]
-    w_mid = weight_midpoints(mesh, weight)
+    w = nodal_weight(mesh, weight)
+    w_mid = midpoint_values(mesh, w)
 
     u = np.zeros(len(mesh.vertices))
 
@@ -306,9 +269,8 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
         if res <= tol:
             u_int = u_lin
             u[interior] = u_int
-            return TorsionSolution(mesh=mesh, gamma=gamma, u=u, w_mid=w_mid,
-                                   iterations=it, residuals=tuple(residuals),
-                                   weight=weight)
+            return Solution(mesh=mesh, u=u, weight=w, iterations=it,
+                            residuals=tuple(residuals), gamma=gamma)
         if res > prev:
             theta = 0.5 * damping
         prev = res
@@ -322,19 +284,21 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
 
 
 def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
-                cg_tol=1e-13, initial=None) -> EigenSolution:
+                cg_tol=1e-13, initial=None) -> Solution:
     """Ground eigenpair by inverse power iteration with Rayleigh quotients.
 
     Stops when the relative Rayleigh increment drops below tol; the mode is
     returned with exact unit weighted L2 norm and positive sign.  ``initial``
-    seeds the iteration (e.g. the mode of a nearby mesh).
+    seeds the iteration (e.g. the mode of a nearby mesh).  ``weight`` and
+    the input checks are those of :func:`solve_torsion`.
     """
+    _check_stopping(tol, max_iter)
     interior = mesh.interior_vertices
     if len(interior) == 0:
         raise ValueError("mesh has no interior vertices to solve on")
     K = assemble_stiffness(mesh)[interior][:, interior]
-    w_mid = weight_midpoints(mesh, weight)
-    M = assemble_mass(mesh, w_mid)[interior][:, interior]
+    w = nodal_weight(mesh, weight)
+    M = assemble_mass(mesh, midpoint_values(mesh, w))[interior][:, interior]
 
     if initial is None:
         x = np.ones(len(interior))
@@ -366,6 +330,5 @@ def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
         x = -x
     u = np.zeros(len(mesh.vertices))
     u[interior] = x
-    return EigenSolution(mesh=mesh, lam=lam, u=u, w_mid=w_mid,
-                         iterations=it, residuals=tuple(residuals),
-                         weight=weight)
+    return Solution(mesh=mesh, u=u, weight=w, iterations=it,
+                    residuals=tuple(residuals), lam=lam)

@@ -49,10 +49,21 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("solve", "--mesh", "disk:1").returncode == 2
     assert run_cli("solve", "--mesh", "disk:1:12", "--gamma", "1.5").returncode == 2
     # csv output needs a directory to land in
-    assert run_cli("radial", "--grid", "0.5:2:3", "--format", "csv").returncode == 2
+    assert run_cli("monotonicity", "--metric", "flat", "--grid", "0.5:2:3",
+                   "--format", "csv").returncode == 2
     bad = tmp_path / "p.cfg"
     bad.write_text("no_such_knob=1\n")
     assert run_cli("solve", "--mesh", "disk:1:12", "--params", str(bad)).returncode == 2
+
+
+def test_bad_stopping_knobs_exit_2():
+    for argv in (("solve", "--max-iter", "0"),
+                 ("eigen-isoperimetry", "--max-iter", "0"),
+                 ("solve", "--tol", "-1")):
+        res = run_cli(*argv, "--mesh", "disk:1:8")
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_numerical_failure_exit_3():

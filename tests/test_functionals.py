@@ -20,10 +20,10 @@ def test_rigidity_disk_anchors(disk40_g0):
 
 
 def test_rigidity_zero_solution(disk40):
-    sol = solver.TorsionSolution(
-        mesh=disk40, gamma=0.3, u=np.zeros(len(disk40.vertices)),
-        w_mid=solver.weight_midpoints(disk40, None), iterations=0,
-        residuals=())
+    sol = solver.Solution(
+        mesh=disk40, u=np.zeros(len(disk40.vertices)),
+        weight=solver.nodal_weight(disk40, None), iterations=0,
+        residuals=(), gamma=0.3)
     rep = tl.rigidity(sol)
     assert rep == functionals.RigidityReport(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -114,10 +114,10 @@ def test_level_set_profile_disk(disk40_g0):
 def test_level_set_validation(disk40_g0, disk40):
     with pytest.raises(ValueError):
         tl.level_set_profile(disk40_g0, 1)
-    zero = solver.TorsionSolution(
-        mesh=disk40, gamma=0.0, u=np.zeros(len(disk40.vertices)),
-        w_mid=solver.weight_midpoints(disk40, None), iterations=0,
-        residuals=())
+    zero = solver.Solution(
+        mesh=disk40, u=np.zeros(len(disk40.vertices)),
+        weight=solver.nodal_weight(disk40, None), iterations=0,
+        residuals=(), gamma=0.0)
     with pytest.raises(ValueError):
         tl.level_set_profile(zero, 5)
     # slicing above the max leaves nothing

@@ -98,9 +98,3 @@ def test_user_metric_table(tmp_path):
     np.savetxt(bad, np.column_stack([r[::-1], np.sin(r)]))
     with pytest.raises(ValueError):
         geometry.user_metric(str(bad))
-
-
-def test_flat_chart_weight():
-    chart = tl.flat_chart()
-    pts = np.array([[0.0, 0.0], [0.3, -0.2]])
-    assert np.allclose(chart.weight_values(pts), 1.0)

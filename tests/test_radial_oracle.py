@@ -68,13 +68,6 @@ def test_hemisphere_eigenvalue():
     assert eig.boundary_slope < 0.0
 
 
-def test_oracle_rigidity_headline(oracle_flat_g0):
-    rig = tl.oracle_rigidity(oracle_flat_g0)
-    assert rig.T == pytest.approx(math.pi / 8, rel=1e-9)
-    assert rig.I_gamma == pytest.approx(math.pi, rel=1e-9)
-    assert rig.flux == pytest.approx(-0.5, rel=1e-9)
-
-
 def test_profile_evaluation(oracle_flat_g03):
     prof = oracle_flat_g03
     r = prof.r_nodes

@@ -59,7 +59,8 @@ def test_radial_consistency_with_homogeneity(disk40, gamma):
 
 
 def test_translation_invariance(disk40_g03, disk40_eigen):
-    for fl in (tl.flow_from_spec("normal-x"), tl.flow_from_spec("translate:0,1")):
+    for fl in (tl.flow_from_spec("translate:1,0"),
+               tl.flow_from_spec("translate:0,1")):
         assert abs(tl.shape_derivative_torsion(disk40_g03, fl)) < 1e-10
         assert abs(tl.shape_derivative_eigen(disk40_eigen, fl)) < 1e-10
 
@@ -102,12 +103,31 @@ def test_fd_validate_eigen_small():
     assert rep.rel_err < 5e-2
 
 
-def test_fd_weightfield_rejected(disk40):
-    w = tl.WeightField.ones(disk40)
-    with pytest.raises(TypeError):
-        tl.fd_validate_torsion(disk40, 0.0, "radial", weight=w)
-    # charts and callables are evaluable at moved points, so they pass
-    rep = tl.fd_validate_torsion(
-        tl.build_disk_mesh(1.0, 16), 0.0, "radial",
-        weight=lambda p: np.ones(len(p)))
+def test_rigid_translation_fd_verdict():
+    # the true derivative is zero: analytic and fd are both roundoff, and
+    # the relative error is floored at the resolution of the difference
+    m = tl.build_disk_mesh(1.0, 24)
+    flow = tl.flow_from_spec("translate:1,0")
+    for rep, base in (
+            (tl.fd_validate_torsion(m, 0.3, flow), tl.solve_torsion(m, 0.3)),
+            (tl.fd_validate_eigen(m, flow), tl.solve_eigen(m))):
+        assert rep.rel_err < 2e-2
+        scale = shape._flux_pairing(base, flow)[1]
+        if rep.kind == "torsion":
+            scale *= shape._torsion_factor(base.gamma)
+        # a wrong analytic value well above roundoff still fails
+        wrong = shape._relative_error(1e-3 * scale, rep.fd, rep.step, scale)
+        assert wrong > 2e-2
+
+
+def test_fd_weightfield_rejected():
+    # a callable weight is sampled afresh on each moved mesh ...
+    m = tl.build_disk_mesh(1.0, 16)
+    rep = tl.fd_validate_torsion(m, 0.0, "radial",
+                                 weight=lambda p: np.ones(len(p)))
     assert rep.rel_err < 1e-1
+    # ... and validated there: this one vanishes once the rim moves out
+    inside = lambda p: np.where(np.hypot(*p.T) <= 1.0 + 1e-12, 1.0, 0.0)
+    tl.solve_torsion(m, 0.0, weight=inside)
+    with pytest.raises(ValueError):
+        tl.fd_validate_torsion(m, 0.0, "radial", weight=inside)

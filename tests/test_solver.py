@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab as tl
 from torsionlab import solver
@@ -58,19 +60,6 @@ def test_mass_matrix_quadrature_identities():
     assert float(u @ (M @ u)) == pytest.approx(quad, rel=1e-12)
 
 
-def test_weight_field_validation(disk40):
-    with pytest.raises(ValueError):
-        tl.WeightField(np.full(len(disk40.vertices), -1.0))
-    with pytest.raises(ValueError):
-        tl.WeightField(np.ones((3, 2)))
-    # length mismatch surfaces where the field meets a mesh
-    with pytest.raises(ValueError):
-        solver.weight_midpoints(disk40, tl.WeightField(np.ones(3)))
-    w = tl.WeightField.ones(disk40)
-    with pytest.raises(ValueError):
-        w.values[0] = 2.0
-
-
 def test_gamma_zero_linear_solve(disk40_g0, oracle_flat_g0):
     sol = disk40_g0
     assert sol.iterations == 1
@@ -102,6 +91,18 @@ def test_gamma_validation(disk40):
             tl.solve_torsion(disk40, bad)
     with pytest.raises(ValueError):
         tl.solve_torsion(disk40, 0.3, damping=0.0)
+
+
+def test_stopping_validation(disk40):
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            tl.solve_torsion(disk40, 0.3, tol=bad)
+        with pytest.raises(ValueError):
+            tl.solve_eigen(disk40, tol=bad)
+    with pytest.raises(ValueError):
+        tl.solve_torsion(disk40, 0.3, max_iter=0)
+    with pytest.raises(ValueError):
+        tl.solve_eigen(disk40, max_iter=0)
 
 
 def test_warm_start_cuts_iterations(disk40, disk40_g03):
@@ -156,10 +157,63 @@ def test_hemisphere_chart_cross_checks(disk40):
     assert sol.u[0] == pytest.approx(0.5160832422455011, rel=5e-3)
 
 
-def test_weight_field_matches_callable(disk40):
-    w_fn = lambda p: 1.0 + 0.5 * p[:, 0] ** 2
-    field = tl.WeightField.from_function(disk40, w_fn)
-    a = tl.solve_torsion(disk40, 0.0, weight=field)
-    b = tl.solve_torsion(disk40, 0.0, weight=w_fn)
-    # field path interpolates vertex weights to midpoints, callable is exact
-    assert np.allclose(a.u, b.u, atol=2e-4)
+# Properties of the one weight path: None or a callable sampled at the
+# vertices.
+
+DISK = tl.build_disk_mesh(1.0, 12)
+GAMMAS = st.sampled_from((0.0, 0.3, 0.6))
+CONSTANTS = st.floats(min_value=0.1, max_value=10.0)
+
+
+def _constant(c):
+    return lambda points: np.full(len(points), c)
+
+
+@settings(max_examples=15, deadline=None)
+@given(gamma=GAMMAS, c=CONSTANTS)
+def test_constant_weight_scales_torsion(gamma, c):
+    # lap u = -c u^gamma is solved by c^(1/(1-gamma)) times the plane solution
+    plain = tl.solve_torsion(DISK, gamma).u
+    weighted = tl.solve_torsion(DISK, gamma, weight=_constant(c)).u
+    expected = c ** (1.0 / (1.0 - gamma)) * plain
+    assert np.abs(weighted - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
+@settings(max_examples=15, deadline=None)
+@given(c=CONSTANTS)
+def test_constant_weight_scales_eigenvalue(c):
+    lam_1 = tl.solve_eigen(DISK).lam
+    lam_c = tl.solve_eigen(DISK, weight=_constant(c)).lam
+    assert c * lam_c == pytest.approx(lam_1, rel=1e-12)
+
+
+def _corrupt(kind, index, c):
+    def weight(points):
+        w = np.full(len(points), c)
+        if kind == "short":
+            return w[:-1]
+        if kind == "long":
+            return np.append(w, c)
+        if kind == "column":
+            return w[:, None]
+        w[index % len(w)] = {"nan": np.nan, "inf": np.inf, "zero": 0.0,
+                             "negative": -c}[kind]
+        return w
+
+    return weight
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(("nan", "inf", "zero", "negative", "short",
+                             "long", "column")),
+       index=st.integers(min_value=0, max_value=10**6), c=CONSTANTS)
+def test_weight_field_validation(kind, index, c):
+    # the sampled field of a valid weight is frozen
+    assert not solver.nodal_weight(DISK, _constant(c)).flags.writeable
+    weight = _corrupt(kind, index, c)
+    with pytest.raises(ValueError):
+        tl.solve_torsion(DISK, 0.3, weight=weight)
+    with pytest.raises(ValueError):
+        tl.solve_eigen(DISK, weight=weight)
+    with pytest.raises(ValueError):
+        tl.fd_validate_torsion(DISK, 0.3, "radial", weight=weight)
