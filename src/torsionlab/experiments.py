@@ -12,7 +12,8 @@ is printed to stderr only; it never enters the payload.  Tabular results
 --format is csv or both.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad usage, 3 the
-numerics did not converge.
+numerics did not converge, 4 any other exception (a defect in the program),
+reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 _J0_SQUARED = radial_oracle.FLAT_DISK_EIGENVALUE
 
@@ -100,7 +102,7 @@ def _resolve_tau(metric: geometry.RadialMetric, tau_arg, r_grid) -> float:
     """Explicit --tau wins; otherwise known metrics get their exact constant
     and anything else falls back to the circle-length upper bound on the grid."""
     if tau_arg is not None:
-        return float(tau_arg)
+        return geometry.tau_value(tau_arg)
     if metric.name == "flat":
         return geometry.flat_tau().value
     if metric.name.startswith("cone:"):
@@ -151,7 +153,7 @@ def _cmd_solve(args):
 
 def _cmd_isoperimetry(args):
     m = meshmod.mesh_from_spec(args.mesh)
-    tau = args.tau if args.tau is not None else geometry.flat_tau().value
+    tau = geometry.tau_value(geometry.flat_tau() if args.tau is None else args.tau)
     sol = solver.solve_torsion(m, args.gamma, **_solver_kwargs(args))
     rep = functionals.rigidity(sol)
     iso = functionals.isoperimetry_ratio(rep, args.gamma, tau)
@@ -188,7 +190,7 @@ def _cmd_isoperimetry(args):
 
 def _cmd_eigen_isoperimetry(args):
     m = meshmod.mesh_from_spec(args.mesh)
-    tau = args.tau if args.tau is not None else geometry.flat_tau().value
+    tau = geometry.tau_value(geometry.flat_tau() if args.tau is None else args.tau)
     eig = solver.solve_eigen(m, tol=args.tol, max_iter=args.max_iter)
     ratio = functionals.eigen_isoperimetry_ratio(eig, tau)
     outputs = {
@@ -883,6 +885,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect, not a verdict: keep it off exit 1
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed = time.perf_counter() - started
     print(f"# runtime {elapsed:.2f}s", file=sys.stderr)
     return EXIT_PASS if payload["pass"] else EXIT_FAIL

@@ -18,6 +18,7 @@ import dataclasses
 
 import numpy as np
 
+from .geometry import tau_value
 from .mesh import boundary_geometry
 from .solver import (integrate_midpoint, midpoint_values, nodal_weight,
                      p1_gradients, weight_midpoints)
@@ -100,13 +101,6 @@ def profile_rigidity(profile) -> RigidityReport:
     )
 
 
-def _check_tau(tau) -> float:
-    value = float(getattr(tau, "value", tau))
-    if value <= 0.0:
-        raise ValueError(f"tau must be positive, got {value}")
-    return value
-
-
 @dataclasses.dataclass(frozen=True)
 class IsoperimetryRatio:
     """lhs = int u^(1+gamma) dA against rhs = ((1+gamma)/(2 tau)) (int u^gamma dA)^2.
@@ -128,7 +122,7 @@ class IsoperimetryRatio:
 
 def isoperimetry_ratio(report: RigidityReport, gamma: float,
                        tau) -> IsoperimetryRatio:
-    tau_v = _check_tau(tau)
+    tau_v = tau_value(tau)
     coef = (1.0 + gamma) / (2.0 * tau_v)
     rhs = coef * report.I_gamma ** 2
     rhs_flux = coef * report.flux_L1 ** 2
@@ -154,7 +148,7 @@ class EigenIsoperimetryRatio:
 
 def eigen_isoperimetry_ratio(eig, tau) -> EigenIsoperimetryRatio:
     """Works on a FEM ground mode or a radial oracle eigen profile."""
-    tau_v = _check_tau(tau)
+    tau_v = tau_value(tau)
     if hasattr(eig, "i1"):
         lhs, i1, lam = 1.0, eig.i1, eig.lam
     else:

@@ -50,6 +50,17 @@ class TauValue:
             raise ValueError("exact-flat provenance requires the value 4*pi")
 
 
+def tau_value(tau) -> float:
+    """The number of an isoperimetric constant given as a TauValue or a float.
+
+    Raises ValueError unless it is finite and positive.
+    """
+    value = float(tau.value) if isinstance(tau, TauValue) else float(tau)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"tau must be finite and positive, got {value}")
+    return value
+
+
 def flat_tau() -> TauValue:
     return TauValue(TAU_FLAT, "exact-flat")
 

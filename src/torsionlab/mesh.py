@@ -4,7 +4,8 @@ Triangles are stored counterclockwise; boundary edges are recovered from
 the triangle list (an edge on the boundary appears in exactly one triangle)
 and kept in counterclockwise order around the domain, so the outward normal
 of a boundary edge (a, b) is the tangent rotated by -90 degrees.  Meshes
-are immutable once built: the coordinate and index arrays are write-locked.
+are immutable once built: the coordinate and index arrays, and the triangle
+areas computed for the orientation check, are write-locked.
 """
 
 from __future__ import annotations
@@ -22,13 +23,34 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
+def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
+    d = vertices[triangles[:, [1, 2, 0]]]
+    d -= vertices[triangles]
+    return float(np.hypot(d[..., 0], d[..., 1]).max())
+
+
+def _unpaired_edges(edges: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the directed edges (a, b) whose twin (b, a) is absent.
+
+    Raises ValueError if a directed edge appears twice.  One sort and one
+    sorted search find the twins without the temporaries of a set test.
+    """
+    keys = np.sort(edges[:, 0] * n + edges[:, 1])
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("nonconforming mesh: a directed edge appears twice")
+    rev = edges[:, 1] * n + edges[:, 0]
+    pos = np.minimum(np.searchsorted(keys, rev), len(keys) - 1)
+    return keys[pos] != rev
+
+
 @dataclasses.dataclass(frozen=True)
 class TriMesh:
     """Triangulated planar domain.
 
     ``boundary_edges`` lists directed vertex pairs in counterclockwise loop
     order and ``boundary_edge_tri`` the index of the unique triangle touching
-    each of them.  ``h`` is the longest edge in the mesh.
+    each of them.  ``h`` is the longest edge in the mesh and ``areas`` the
+    (positive) area of each triangle.
     """
 
     vertices: np.ndarray
@@ -37,10 +59,11 @@ class TriMesh:
     boundary_edges: np.ndarray
     boundary_edge_tri: np.ndarray
     h: float
+    areas: np.ndarray = dataclasses.field(repr=False)
 
     def __post_init__(self):
         for arr in (self.vertices, self.triangles, self.boundary_vertices,
-                    self.boundary_edges, self.boundary_edge_tri):
+                    self.boundary_edges, self.boundary_edge_tri, self.areas):
             arr.setflags(write=False)
 
     @classmethod
@@ -70,14 +93,9 @@ class TriMesh:
 
         # directed edges; a conforming orientable mesh uses each at most once
         edges = tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-        tri_of = np.repeat(np.arange(len(tris)), 3)
-        keys = edges[:, 0] * n + edges[:, 1]
-        if len(np.unique(keys)) != len(keys):
-            raise ValueError("nonconforming mesh: a directed edge appears twice")
-        rev = edges[:, 1] * n + edges[:, 0]
-        is_boundary = ~np.isin(keys, rev)
+        is_boundary = _unpaired_edges(edges, n)
         b_edges = edges[is_boundary]
-        b_tris = tri_of[is_boundary]
+        b_tris = np.flatnonzero(is_boundary) // 3  # edge row r is in triangle r // 3
 
         # assemble loops; every boundary vertex must have exactly one
         # outgoing and one incoming boundary edge
@@ -106,15 +124,14 @@ class TriMesh:
                     raise ValueError("boundary loops intersect")
         ordered = np.asarray(ordered, dtype=np.int64)
 
-        edge_vec = verts[edges[:, 1]] - verts[edges[:, 0]]
-        h = float(np.hypot(edge_vec[:, 0], edge_vec[:, 1]).max())
         return cls(
             vertices=verts,
             triangles=tris,
             boundary_vertices=np.unique(b_edges),
             boundary_edges=np.ascontiguousarray(b_edges[ordered]),
             boundary_edge_tri=np.ascontiguousarray(b_tris[ordered]),
-            h=h,
+            h=_longest_edge(verts, tris),
+            areas=areas,
         )
 
     @property
@@ -122,7 +139,7 @@ class TriMesh:
         return np.setdiff1d(np.arange(len(self.vertices)), self.boundary_vertices)
 
     def triangle_areas(self) -> np.ndarray:
-        return _signed_areas(self.vertices, self.triangles)
+        return self.areas
 
     def replace_vertices(self, new_vertices) -> "TriMesh":
         """Same combinatorics on moved vertices; revalidates orientation."""
@@ -133,16 +150,14 @@ class TriMesh:
         scale = max(float(np.abs(new_verts).max()), 1.0)
         if np.any(areas <= 1e-14 * scale**2):
             raise ValueError("vertex motion inverted or degenerated a triangle")
-        edge_vec = (new_verts[self.triangles[:, [1, 2, 0]]]
-                    - new_verts[self.triangles]).reshape(-1, 2)
-        h = float(np.hypot(edge_vec[:, 0], edge_vec[:, 1]).max())
         return TriMesh(
             vertices=new_verts,
             triangles=self.triangles,
             boundary_vertices=self.boundary_vertices,
             boundary_edges=self.boundary_edges,
             boundary_edge_tri=self.boundary_edge_tri,
-            h=h,
+            h=_longest_edge(new_verts, self.triangles),
+            areas=areas,
         )
 
 
@@ -156,8 +171,30 @@ def boundary_geometry(mesh: TriMesh):
     return 0.5 * (a + b), normals, lengths
 
 
-def _ring_start(k: int) -> int:
+def _ring_start(k):
     return 1 + 3 * k * (k - 1)
+
+
+def _disk_triangles(n: int) -> np.ndarray:
+    """Triangle list of the n-ring disk: the centre fan, then ring by ring.
+
+    Triangles 6(k-1)^2 .. 6k^2 - 1 join rings k-1 and k; in sector s, strip
+    position q = 2j is (o1, o2, i1) and q = 2j + 1 is (i1, o2, i2).
+    """
+    ks = np.arange(2, n + 1)
+    k = np.repeat(ks, 6 * (2 * ks - 1))
+    s, q = np.divmod(np.arange(6, 6 * n * n) - 6 * (k - 1) ** 2, 2 * k - 1)
+    j, odd = np.divmod(q, 2)
+    o0, i0 = _ring_start(k), _ring_start(k - 1)
+    o1 = o0 + (s * k + j) % (6 * k)
+    o2 = o0 + (s * k + j + 1) % (6 * k)
+    i1 = i0 + (s * (k - 1) + j) % (6 * (k - 1))
+    i2 = i0 + (s * (k - 1) + j + 1) % (6 * (k - 1))
+    strips = np.where(odd[:, None] == 1, np.column_stack([i1, o2, i2]),
+                      np.column_stack([o1, o2, i1]))
+    m = np.arange(6)
+    fan = np.column_stack([np.zeros(6, dtype=np.int64), 1 + m, 1 + (m + 1) % 6])
+    return np.vstack([fan, strips])
 
 
 def build_disk_mesh(radius: float, n_rings: int) -> TriMesh:
@@ -173,29 +210,14 @@ def build_disk_mesh(radius: float, n_rings: int) -> TriMesh:
     if n_rings < 2:
         raise ValueError(f"n_rings must be at least 2, got {n_rings}")
     n = int(n_rings)
-    verts = [np.zeros((1, 2))]
-    for k in range(1, n + 1):
-        ang = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
-        rk = radius * k / n
-        verts.append(np.column_stack([rk * np.cos(ang), rk * np.sin(ang)]))
-    verts = np.vstack(verts)
-
-    tris = []
-    for m in range(6):
-        tris.append((0, 1 + m, 1 + (m + 1) % 6))
-    for k in range(2, n + 1):
-        o0, i0 = _ring_start(k), _ring_start(k - 1)
-        oc, ic = 6 * k, 6 * (k - 1)
-        for s in range(6):
-            for j in range(k):
-                o1 = o0 + (s * k + j) % oc
-                o2 = o0 + (s * k + j + 1) % oc
-                i1 = i0 + (s * (k - 1) + j) % ic
-                tris.append((o1, o2, i1))
-                if j < k - 1:
-                    i2 = i0 + (s * (k - 1) + j + 1) % ic
-                    tris.append((i1, o2, i2))
-    return TriMesh.from_arrays(verts, np.asarray(tris, dtype=np.int64))
+    # vertex v of ring k sits at angle 2 pi v / (6k), radius k/n * radius
+    ring = np.repeat(np.arange(1, n + 1), 6 * np.arange(1, n + 1))
+    slot = np.arange(1, len(ring) + 1) - _ring_start(ring)
+    ang = 2.0 * np.pi * slot / (6 * ring)
+    rk = radius * ring / n
+    verts = np.vstack([np.zeros((1, 2)),
+                       np.column_stack([rk * np.cos(ang), rk * np.sin(ang)])])
+    return TriMesh.from_arrays(verts, _disk_triangles(n))
 
 
 def build_ellipse_mesh(a: float, b: float, n_rings: int) -> TriMesh:
@@ -217,15 +239,10 @@ def build_rectangle_mesh(w: float, h: float, nx: int, ny: int) -> TriMesh:
     X, Y = np.meshgrid(xs, ys)
     verts = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return TriMesh.from_arrays(verts, np.asarray(tris, dtype=np.int64))
+    # cell (i, j) with lower-left vertex v splits along its rising diagonal
+    v = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    tris = np.column_stack([v, v + 1, v + nx + 2, v, v + nx + 2, v + nx + 1])
+    return TriMesh.from_arrays(verts, tris.reshape(-1, 3))
 
 
 def map_mesh(mesh: TriMesh, cmap) -> TriMesh:

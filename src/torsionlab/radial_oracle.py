@@ -20,7 +20,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DomainError, OracleError
-from .geometry import RadialMetric, TauValue, circle_length, disk_area, flat_metric
+from .geometry import (RadialMetric, circle_length, disk_area, flat_metric,
+                       tau_value)
 
 _RTOL = 1e-12
 _START_FRAC = 1e-6  # series start at r0 = frac * R
@@ -36,13 +37,6 @@ def _check_setup(metric: RadialMetric, radius: float) -> float:
             f"radius {radius} outside (0, {metric.r_max}] of metric {metric.name!r}"
         )
     return radius
-
-
-def _tau_value(tau) -> float:
-    value = float(tau.value) if isinstance(tau, TauValue) else float(tau)
-    if value <= 0.0:
-        raise ValueError(f"tau must be positive, got {value}")
-    return value
 
 
 def _integrate_torsion(metric, gamma, radius, alpha, r0, augmented):
@@ -327,7 +321,7 @@ def sweep_Q(metric: RadialMetric, gamma: float, tau, r_grid) -> list:
     Q is constant in r on the flat plane and nondecreasing whenever the
     curvature is nonnegative and tau is the true isoperimetric constant.
     """
-    tau_v = _tau_value(tau)
+    tau_v = tau_value(tau)
     gamma = float(gamma)
     exponent = tau_v / (np.pi * (1.0 - gamma))
     rows = []
@@ -343,7 +337,7 @@ def sweep_eigen_Q(metric: RadialMetric, tau, r_grid) -> list:
     Constant on the flat plane (order -2 homogeneity against exponent 2),
     nonincreasing under nonnegative curvature.
     """
-    tau_v = _tau_value(tau)
+    tau_v = tau_value(tau)
     exponent = tau_v / (2.0 * np.pi)
     rows = []
     for r in np.asarray(r_grid, dtype=float):

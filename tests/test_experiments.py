@@ -184,3 +184,27 @@ def test_py_sanitizer():
     clean = experiments._py(blob)
     assert clean == {"a": 1.5, "b": [0, 1, 2], "c": [True], "d": 4}
     assert json.dumps(clean)  # round-trips through the serializer
+
+
+def test_internal_error_exit_4(monkeypatch, capsys):
+    def broken(args):
+        raise IndexError("list index out of range")
+    monkeypatch.setitem(experiments._COMMANDS, "solve", broken)
+    code = experiments.main(["solve", "--mesh", "disk:1:8"])
+    assert code == experiments.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "error: internal: IndexError: list index out of range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("isoperimetry", "--mesh", "disk:1:8", "--gamma", "0.3", "--tau", "nan"),
+    ("isoperimetry", "--mesh", "disk:1:8", "--gamma", "0.3", "--tau", "0"),
+    ("eigen-isoperimetry", "--mesh", "disk:1:8", "--tau", "inf"),
+    ("monotonicity", "--metric", "flat", "--grid", "0.5:2:3", "--tau", "nan"),
+])
+def test_bad_tau_exit_2(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == [res.stderr.strip()]
+    assert res.stderr.startswith("error: tau must be finite and positive")

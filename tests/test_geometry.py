@@ -98,3 +98,11 @@ def test_user_metric_table(tmp_path):
     np.savetxt(bad, np.column_stack([r[::-1], np.sin(r)]))
     with pytest.raises(ValueError):
         geometry.user_metric(str(bad))
+
+
+def test_tau_value_coercion():
+    assert geometry.tau_value(tl.flat_tau()) == 4 * math.pi
+    assert geometry.tau_value(2.5) == 2.5
+    for bad in (0.0, -1.0, math.nan, math.inf, tl.TauValue(0.0, "user-supplied")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            geometry.tau_value(bad)

@@ -142,3 +142,72 @@ def test_map_mesh_univalence_guard():
     small = tl.build_disk_mesh(0.4, 4)
     img = tl.map_mesh(small, squeeze)
     assert img.vertices.shape == small.vertices.shape
+
+
+def _disk_triangles_loop(n):
+    """Reference ring-by-ring construction of the disk triangle list."""
+    def start(k):
+        return 1 + 3 * k * (k - 1)
+    tris = [(0, 1 + m, 1 + (m + 1) % 6) for m in range(6)]
+    for k in range(2, n + 1):
+        o0, i0, oc, ic = start(k), start(k - 1), 6 * k, 6 * (k - 1)
+        for s in range(6):
+            for j in range(k):
+                o1, o2 = o0 + (s * k + j) % oc, o0 + (s * k + j + 1) % oc
+                i1 = i0 + (s * (k - 1) + j) % ic
+                tris.append((o1, o2, i1))
+                if j < k - 1:
+                    tris.append((i1, o2, i0 + (s * (k - 1) + j + 1) % ic))
+    return np.asarray(tris, dtype=np.int64)
+
+
+def test_builders_match_loop_reference():
+    for n in (2, 3, 7, 20):
+        m = tl.build_disk_mesh(1.5, n)
+        assert np.array_equal(m.triangles, _disk_triangles_loop(n))
+        verts = [np.zeros((1, 2))]
+        for k in range(1, n + 1):
+            ang = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
+            rk = 1.5 * k / n
+            verts.append(np.column_stack([rk * np.cos(ang), rk * np.sin(ang)]))
+        assert np.array_equal(m.vertices, np.vstack(verts))
+    nx, ny = 3, 5
+    m = tl.build_rectangle_mesh(2.0, 1.0, nx, ny)
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            v = j * (nx + 1) + i
+            tris += [(v, v + 1, v + nx + 2), (v, v + nx + 2, v + nx + 1)]
+    assert np.array_equal(m.triangles, tris)
+
+
+def test_pinned_triangle_arrays():
+    assert mesh_from_spec("rect:1:1:2:2").triangles.tolist() == [
+        [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+        [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]]
+    assert mesh_from_spec("disk:1:3").triangles.tolist() == [
+        [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 6], [0, 6, 1],
+        [7, 8, 1], [1, 8, 2], [8, 9, 2], [9, 10, 2], [2, 10, 3], [10, 11, 3],
+        [11, 12, 3], [3, 12, 4], [12, 13, 4], [13, 14, 4], [4, 14, 5],
+        [14, 15, 5], [15, 16, 5], [5, 16, 6], [16, 17, 6], [17, 18, 6],
+        [6, 18, 1], [18, 7, 1], [19, 20, 7], [7, 20, 8], [20, 21, 8],
+        [8, 21, 9], [21, 22, 9], [22, 23, 9], [9, 23, 10], [23, 24, 10],
+        [10, 24, 11], [24, 25, 11], [25, 26, 11], [11, 26, 12], [26, 27, 12],
+        [12, 27, 13], [27, 28, 13], [28, 29, 13], [13, 29, 14], [29, 30, 14],
+        [14, 30, 15], [30, 31, 15], [31, 32, 15], [15, 32, 16], [32, 33, 16],
+        [16, 33, 17], [33, 34, 17], [34, 35, 17], [17, 35, 18], [35, 36, 18],
+        [18, 36, 7], [36, 19, 7]]
+
+
+def test_triangle_areas_stored_once():
+    m = tl.build_disk_mesh(1.0, 5)
+    areas = m.triangle_areas()
+    assert areas is m.triangle_areas()
+    assert not areas.flags.writeable
+    p = m.vertices[m.triangles]
+    cross = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    assert np.array_equal(areas, 0.5 * cross)
+    moved = m.replace_vertices(2.0 * m.vertices)
+    assert np.allclose(moved.triangle_areas(), 4.0 * areas, rtol=1e-15)
+    assert not moved.triangle_areas().flags.writeable

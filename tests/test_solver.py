@@ -217,3 +217,105 @@ def test_weight_field_validation(kind, index, c):
         tl.solve_eigen(DISK, weight=weight)
     with pytest.raises(ValueError):
         tl.fd_validate_torsion(DISK, 0.3, "radial", weight=weight)
+
+
+def test_factor_preconditioned_cg():
+    m = tl.mesh_from_spec("rect:1:1:64:64")
+    interior = m.interior_vertices
+    K = solver.assemble_stiffness(m, interior)
+    F = solver.load_vector(m, np.ones((len(m.triangles), 3)))[interior]
+    x, iters = solver.cg_solve(K, F, tol=1e-12, precond=solver._factor(K))
+    assert iters <= 4
+    assert np.linalg.norm(F - K @ x) <= 1e-12 * np.linalg.norm(F)
+    x_plain, _ = solver.cg_solve(K, F, tol=1e-12)
+    assert np.abs(x - x_plain).max() <= 1e-10 * np.abs(x_plain).max()
+
+
+def test_preconditioned_cg_raises_on_iteration_starvation():
+    n = 400
+    A = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
+                 [-1, 0, 1], format="csr")
+    with pytest.raises(ConvergenceError) as err:
+        solver.cg_solve(A, np.ones(n), tol=1e-14, max_iter=1,
+                        precond=solver._factor(A))
+    assert len(err.value.history) == 1
+
+
+def _dense_reference(m, w_mid):
+    """Stiffness and mass accumulated triangle by triangle into dense arrays."""
+    n = len(m.vertices)
+    K, M = np.zeros((n, n)), np.zeros((n, n))
+    for t, tri in enumerate(m.triangles):
+        p = m.vertices[tri]
+        (ax, ay), (bx, by) = p[1] - p[0], p[2] - p[0]
+        area = 0.5 * (ax * by - ay * bx)
+        e = [p[2] - p[1], p[0] - p[2], p[1] - p[0]]
+        w = w_mid[t]
+        for i in range(3):
+            for j in range(3):
+                K[tri[i], tri[j]] += e[i] @ e[j] / (4.0 * area)
+                wij = w.sum() - w[i] if i == j else w[3 - i - j]
+                M[tri[i], tri[j]] += area * wij / 12.0
+    return K, M
+
+
+@pytest.mark.parametrize("spec", ["disk:1:4", "rect:2:1:3:5"])
+def test_assembly_matches_dense_reference(spec):
+    m = tl.mesh_from_spec(spec)
+    w_mid = solver.weight_midpoints(m, lambda p: 1.0 + p[:, 0] ** 2)
+    K_ref, M_ref = _dense_reference(m, w_mid)
+    touched = np.zeros(K_ref.shape, dtype=bool)
+    for tri in m.triangles:
+        touched[np.ix_(tri, tri)] = True
+    for A, ref in ((solver.assemble_stiffness(m), K_ref),
+                   (solver.assemble_mass(m, w_mid), M_ref)):
+        coo = A.tocoo()  # stored entries, explicit zeros included
+        pattern = np.zeros(ref.shape, dtype=bool)
+        pattern[coo.row, coo.col] = True
+        assert np.array_equal(pattern, touched)
+        assert np.abs(A.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spec", ["disk:1:6", "rect:2:1:3:5", "ellipse:1:0.5:5",
+                                  "rect:1:1:2:2"])
+def test_interior_assembly_matches_slice(spec):
+    m = tl.mesh_from_spec(spec)
+    interior = m.interior_vertices
+    w_mid = solver.weight_midpoints(m, lambda p: 1.0 + p[:, 0] ** 2)
+    pairs = [(solver.assemble_stiffness(m, interior),
+              solver.assemble_stiffness(m)[interior][:, interior]),
+             (solver.assemble_mass(m, w_mid, interior),
+              solver.assemble_mass(m, w_mid)[interior][:, interior])]
+    for A, ref in pairs:
+        assert A.shape == ref.shape == (len(interior), len(interior))
+        assert A.indices.dtype == np.int32
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.6])
+def test_single_unknown_mesh(gamma):
+    # rect:1:1:2:2 has one interior vertex and no interior edge: K = [4],
+    # M = [1/8], and the torsion fixed point solves 16 u = (u/2)^gamma
+    m = tl.mesh_from_spec("rect:1:1:2:2")
+    assert m.interior_vertices.tolist() == [4]
+    sol = tl.solve_torsion(m, gamma)
+    exact = (2.0 ** -gamma / 16.0) ** (1.0 / (1.0 - gamma))
+    assert abs(sol.u[4] - exact) <= 1e-9 * exact
+    assert np.count_nonzero(sol.u) == 1
+    eig = tl.solve_eigen(m)
+    assert abs(eig.lam - 32.0) <= 1e-13 * 32.0
+    assert abs(eig.u[4] - np.sqrt(8.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", ["disk:1:140", "rect:1:1:256:256",
+                                  "ellipse:1:0.5:60"])
+def test_load_vector_matches_add_at(spec):
+    m = tl.mesh_from_spec(spec)
+    rho = np.random.default_rng(3).uniform(0.1, 2.0, (len(m.triangles), 3))
+    areas = m.triangle_areas()
+    floc = (rho.sum(axis=1)[:, None] - rho) * (areas / 6.0)[:, None]
+    ref = np.zeros(len(m.vertices))
+    np.add.at(ref, m.triangles.ravel(), floc.ravel())
+    assert np.array_equal(solver.load_vector(m, rho), ref)
