@@ -149,8 +149,7 @@ def pullback_weight(cmap: ConformalMap):
 
 
 def rigidity_of_image(cmap: ConformalMap, r: float, gamma: float,
-                      n_rings: int = 40, route: str = "pullback",
-                      **solve_kw) -> float:
+                      n_rings: int = 40, route: str = "pullback") -> float:
     """T of the image domain f(B_r), by either of two independent routes.
 
     "pullback" solves the weighted problem on the disk mesh itself;
@@ -162,18 +161,16 @@ def rigidity_of_image(cmap: ConformalMap, r: float, gamma: float,
                           f"{cmap.univalence_radius:g}) of map {cmap.name!r}")
     disk = build_disk_mesh(r, n_rings)
     if route == "pullback":
-        sol = solve_torsion(disk, gamma, weight=pullback_weight(cmap),
-                            **solve_kw)
+        sol = solve_torsion(disk, gamma, weight=pullback_weight(cmap))
     elif route == "direct":
-        sol = solve_torsion(map_mesh(disk, cmap), gamma, **solve_kw)
+        sol = solve_torsion(map_mesh(disk, cmap), gamma)
     else:
         raise ValueError(f"route must be 'pullback' or 'direct', got {route!r}")
     return rigidity(sol).T_power
 
 
 def schwarz_ratio_sweep(cmap: ConformalMap, gamma: float, r_grid,
-                        n_rings: int = 40, route: str = "pullback",
-                        **solve_kw) -> list:
+                        n_rings: int = 40, route: str = "pullback") -> list:
     """Rows {r, T_image, T_disk, Phi} with the disk value from the radial oracle."""
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) == 0 or np.any(np.diff(r_grid) <= 0.0):
@@ -184,7 +181,7 @@ def schwarz_ratio_sweep(cmap: ConformalMap, gamma: float, r_grid,
     rows = []
     for r in r_grid:
         t_image = rigidity_of_image(cmap, float(r), gamma, n_rings=n_rings,
-                                    route=route, **solve_kw)
+                                    route=route)
         t_disk = flat_disk_torsion(gamma, float(r))
         rows.append({"r": float(r), "T_image": t_image, "T_disk": t_disk,
                      "Phi": t_image / t_disk})
@@ -220,8 +217,7 @@ def monotonicity_verdict(values, tol: float = 5e-4) -> dict:
 
 
 def image_variation_diagnostic(cmap: ConformalMap, gamma: float, r: float,
-                               n_rings: int = 40, step: float = 1e-3,
-                               **solve_kw):
+                               n_rings: int = 40, step: float = 1e-3):
     """Boundary-integral variation of T(f(B_r)) in r against finite differences.
 
     Growing the chart disk at unit speed moves the image domain; by the
@@ -233,4 +229,4 @@ def image_variation_diagnostic(cmap: ConformalMap, gamma: float, r: float,
                           f"map {cmap.name!r}")
     mesh = build_disk_mesh(r, n_rings)
     return fd_validate_torsion(mesh, gamma, radial_flow(), step=step,
-                               weight=pullback_weight(cmap), **solve_kw)
+                               weight=pullback_weight(cmap))

@@ -112,7 +112,7 @@ def _resolve_tau(metric: geometry.RadialMetric, tau_arg, r_grid) -> float:
 
 
 def _solver_kwargs(args) -> dict:
-    return {"tol": args.tol, "max_iter": args.max_iter, "damping": args.damping}
+    return {"tol": args.tol, "max_iter": args.max_iter}
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +140,15 @@ def _cmd_solve(args):
     verdicts = [
         _check("two-form-agreement",
                abs(rep.T_grad - rep.T_power) / max(rep.T_grad, 1e-300), 5e-3),
-        _check("picard-converged", sol.residual, args.tol),
+        _check("newton-converged", sol.residual, args.tol),
     ]
     files = {}
     if args.out:
         lines = [f"{i} {float(u)!r}" for i, u in enumerate(sol.u)]
         files["solution.txt"] = "\n".join(lines) + "\n"
+    # Newton has no damping factor; the null key keeps schema-1 reports whole
     inputs = {"mesh": args.mesh, "gamma": args.gamma, "tol": args.tol,
-              "max_iter": args.max_iter, "damping": args.damping}
+              "max_iter": args.max_iter, "damping": None}
     return _payload("solve", inputs, outputs, verdicts), {}, files
 
 
@@ -184,7 +185,7 @@ def _cmd_isoperimetry(args):
                1e-12 * max(rep.flux_L1**2, 1.0)),
     ]
     inputs = {"mesh": args.mesh, "gamma": args.gamma, "tau": tau,
-              "tol": args.tol, "max_iter": args.max_iter, "damping": args.damping}
+              "tol": args.tol, "max_iter": args.max_iter, "damping": None}
     return _payload("isoperimetry", inputs, outputs, verdicts), {}, {}
 
 
@@ -796,7 +797,6 @@ _OPTIONS = {
     "grid": {"help": "start:stop:count or comma list of radii"},
     "tol": {"type": float},
     "max-iter": {"type": int},
-    "damping": {"type": float},
     "flow": {"help": "radial | translate:dx,dy | stretch-x"},
     "h": {"type": float},
     "eigen": {"action": "store_true",
@@ -815,7 +815,7 @@ _OPTIONS = {
 
 # Option groups shared by several subcommands: flag -> default.
 _TORSION = {"mesh": "disk:1:60", "gamma": 0.0}
-_SOLVER = {"tol": 1e-10, "max-iter": 200, "damping": 1.0}
+_SOLVER = {"tol": 1e-10, "max-iter": 200}
 _COMMON = {"out": None, "format": "json", "params": None}
 
 # One entry per subcommand: name, help, options with defaults, handler.

@@ -74,14 +74,6 @@ class _ShotProfile:
     def r_nodes(self) -> np.ndarray:
         return self._sol.t
 
-    @property
-    def u_values(self) -> np.ndarray:
-        return self._scale * self._sol.y[0]
-
-    @property
-    def du_values(self) -> np.ndarray:
-        return self._scale * self._sol.y[1]
-
     def value(self, r):
         """u(r) for r in [0, radius]."""
         return self._eval(r, 0)

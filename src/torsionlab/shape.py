@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DeformationError
 from .functionals import boundary_normal_derivative, rigidity
 from .mesh import boundary_geometry
-from .solver import solve_eigen, solve_torsion
+from .solver import solve_eigen, solve_torsion, stiffness_preconditioner
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,49 +189,46 @@ def _relative_error(analytic, fd, h, scale) -> float:
     return abs(analytic - fd) / max(abs(fd), h * h * scale, 1e-12)
 
 
+def _fd_check(kind, mesh, flow, step, solve, value, factor_of) -> VariationReport:
+    """Centered difference of value(solution) against factor_of(base) times
+    the boundary pairing of the base solution.
+
+    ``solve(mesh, **kw)`` runs on the base mesh and on the meshes moved by
+    +-h, started from the base solution.  All three share the base mesh's
+    stiffness preconditioner: the moved meshes differ from it by O(h).
+    """
+    flow = _as_flow(flow)
+    h = _fd_step(mesh, step)
+    precond = stiffness_preconditioner(mesh)
+    base = solve(mesh, precond=precond)
+    factor = factor_of(base)
+    pairing, pairing_abs = _flux_pairing(base, flow)
+    values = [value(solve(deform_mesh(mesh, flow, sign * h), initial=base.u,
+                          precond=precond)) for sign in (1.0, -1.0)]
+    fd = (values[0] - values[1]) / (2.0 * h)
+    analytic = factor * pairing
+    rel_err = _relative_error(analytic, fd, h, abs(factor) * pairing_abs)
+    return VariationReport(analytic=analytic, fd=fd, rel_err=rel_err,
+                           step=h, flow=flow.name, kind=kind)
+
+
 def fd_validate_torsion(mesh, gamma, flow, step=None, weight=None,
                         **solve_kw) -> VariationReport:
     """Centered-difference check of the torsion variation.
 
-    Solves on the base mesh and on both deformed meshes (reusing the base
-    solution as the Picard initial iterate) and compares the gradient-form
-    T difference quotient with the boundary formula.  ``weight`` is None or
-    a callable, sampled afresh at the vertices of each moved mesh.
+    Solves on the base mesh and on both deformed meshes (starting Newton on
+    each from the base solution) and compares the gradient-form T
+    difference quotient with the boundary formula.  ``weight`` is None or a
+    callable, sampled afresh at the vertices of each moved mesh.
     """
-    flow = _as_flow(flow)
-    h = _fd_step(mesh, step)
-    base = solve_torsion(mesh, gamma, weight=weight, **solve_kw)
-    factor = _torsion_factor(base.gamma)
-    pairing, pairing_abs = _flux_pairing(base, flow)
-    analytic = factor * pairing
-
-    values = []
-    for sign in (1.0, -1.0):
-        moved = deform_mesh(mesh, flow, sign * h)
-        sol = solve_torsion(moved, gamma, weight=weight, initial=base.u,
-                            **solve_kw)
-        values.append(rigidity(sol).T_grad)
-    fd = (values[0] - values[1]) / (2.0 * h)
-    rel_err = _relative_error(analytic, fd, h, factor * pairing_abs)
-    return VariationReport(analytic=analytic, fd=fd, rel_err=rel_err,
-                           step=h, flow=flow.name, kind="torsion")
+    return _fd_check(
+        "torsion", mesh, flow, step,
+        lambda m, **kw: solve_torsion(m, gamma, weight=weight, **kw, **solve_kw),
+        lambda sol: rigidity(sol).T_grad, lambda base: _torsion_factor(base.gamma))
 
 
-def fd_validate_eigen(mesh, flow, step=None, weight=None,
-                      **solve_kw) -> VariationReport:
+def fd_validate_eigen(mesh, flow, step=None, weight=None) -> VariationReport:
     """Centered-difference check of the eigenvalue variation."""
-    flow = _as_flow(flow)
-    h = _fd_step(mesh, step)
-    base = solve_eigen(mesh, weight=weight, **solve_kw)
-    pairing, pairing_abs = _flux_pairing(base, flow)
-    analytic = -pairing
-
-    values = []
-    for sign in (1.0, -1.0):
-        moved = deform_mesh(mesh, flow, sign * h)
-        sol = solve_eigen(moved, weight=weight, initial=base.u, **solve_kw)
-        values.append(sol.lam)
-    fd = (values[0] - values[1]) / (2.0 * h)
-    rel_err = _relative_error(analytic, fd, h, pairing_abs)
-    return VariationReport(analytic=analytic, fd=fd, rel_err=rel_err,
-                           step=h, flow=flow.name, kind="eigen")
+    return _fd_check("eigen", mesh, flow, step,
+                     lambda m, **kw: solve_eigen(m, weight=weight, **kw),
+                     lambda sol: sol.lam, lambda base: -1.0)

@@ -6,11 +6,12 @@ energies) carry the conformal weight e^{2 phi}.  The weight is sampled at
 the vertices and interpolated to the three edge midpoints of each triangle,
 the quadrature points.  That quadrature is exact for quadratics, which
 makes the consistent mass matrix and the load vector of a P1 weight agree
-row by row: M 1 = F(w).  Each solve factors its interior stiffness matrix
-once, in single precision, and every linear step of its nonlinear loop runs
-conjugate gradients preconditioned by that factor down to a float64 residual
-test.  Both loops are deterministic; reruns of the same inputs produce
-bit-identical iterates.
+row by row: M 1 = F(w).  The torsion problem is solved by Newton's method,
+the ground mode by inverse iteration.  Each solve factors its interior
+stiffness matrix once, in single precision, and every linear step runs
+conjugate gradients preconditioned by that factor down to a float64
+residual test.  Both loops are deterministic; reruns of the same inputs
+produce bit-identical iterates.
 """
 
 from __future__ import annotations
@@ -238,12 +239,26 @@ def _factor(K):
     Returns r -> K^{-1} r, solved in float32 and returned in float64.  On
     the 256 x 256 square a float64 factor costs ~55 MB against ~34 MB, and
     its direct solve still leaves a relative residual of ~1.6e-12, above
-    the default cg_tol of 1e-12, so it would need the CG correction all the
-    same.  SuperLU runs single-threaded, so the result is deterministic.
+    the 1e-12 that :func:`solve_torsion` asks of each linear solve, so it
+    would need the CG correction all the same.  SuperLU runs single-threaded,
+    so the result is deterministic.
     """
     lu = spla.splu(K.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     return lambda r: lu.solve(r.astype(np.float32)).astype(np.float64)
+
+
+def _interior_stiffness(mesh):
+    interior = mesh.interior_vertices
+    if len(interior) == 0:
+        raise ValueError("mesh has no interior vertices to solve on")
+    return interior, assemble_stiffness(mesh, interior)
+
+
+def stiffness_preconditioner(mesh):
+    """:func:`_factor` of the interior stiffness matrix, the ``precond`` of
+    the solvers on this mesh or on a moved copy with the same interior."""
+    return _factor(_interior_stiffness(mesh)[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,94 +308,88 @@ def _check_stopping(tol, max_iter):
 
 
 def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
-                  cg_tol=1e-12, damping=1.0, initial=None) -> Solution:
-    """Damped Picard iteration for the semilinear torsion problem.
+                  initial=None, precond=None) -> Solution:
+    """Newton's method for the semilinear torsion problem K u = F(u).
 
-    Each step solves the linear problem with source max(u, 0)^gamma frozen
-    from the previous iterate, starting from the gamma = 0 (linear torsion)
-    solution so the iterates stay on the positive branch; the update factor
-    falls back to half its starting value if the sup-norm increment ever
-    grows.  gamma = 0 converges in one sweep.  The interior stiffness matrix
-    is assembled and factored once (:func:`_factor`); every step solves it
-    by :func:`cg_solve` preconditioned with that factor, down to a relative
-    residual of ``cg_tol``.  ``initial`` warm-starts the loop from a nearby
-    solution (boundary values are forced to zero).  ``weight`` is None or a
-    callable e^{2 phi}, sampled at the vertices by :func:`nodal_weight`.
-    Raises ValueError for gamma outside [0, 1), a nonpositive tol, max_iter
-    below 1 or an invalid weight.
+    F is the load of the source max(u, 0)^gamma.  Each step solves
+    J d = F(u) - K u by :func:`cg_solve` to a relative residual of 1e-12,
+    until max|d| / max|u| <= tol.  J = K - S^T diag(gamma q u_mid^(gamma-1)) S,
+    with S the midpoint average and q = (area/3) w_mid, drops the midpoints
+    where u_mid <= 0; it is applied unassembled and is SPD on the positive
+    branch (Brezis-Oswald).  ``precond`` defaults to :func:`_factor` of K.
+    The start is a supersolution built from the gamma = 0 solve (one step
+    at gamma = 0), or a nearby ``initial`` (boundary values forced to zero).
+    ``weight`` is None or a callable e^{2 phi}, sampled at the vertices by
+    :func:`nodal_weight`.  Raises ValueError for gamma outside [0, 1), a
+    nonpositive tol, max_iter below 1, an invalid weight or a mesh without
+    interior vertices.
     """
     gamma = _check_gamma(gamma)
     _check_stopping(tol, max_iter)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    interior = mesh.interior_vertices
-    if len(interior) == 0:
-        raise ValueError("mesh has no interior vertices to solve on")
-    K = assemble_stiffness(mesh, interior)
+    interior, K = _interior_stiffness(mesh)
     w = nodal_weight(mesh, weight)
     w_mid = midpoint_values(mesh, w)
-    precond = _factor(K)
+    if precond is None:
+        precond = _factor(K)
 
     u = np.zeros(len(mesh.vertices))
+    p_full = np.zeros(len(mesh.vertices))
 
-    def linear_step(u_now, warm):
-        rho = np.maximum(midpoint_values(mesh, u_now), 0.0) ** gamma
-        F = load_vector(mesh, rho * w_mid)[interior]
-        x, _ = cg_solve(K, F, x0=warm, tol=cg_tol, precond=precond)
-        return x
+    def jacobian_term(c, p):
+        # the load of c times the midpoint values of p
+        p_full[interior] = p
+        return load_vector(mesh, c * midpoint_values(mesh, p_full))[interior]
 
     if initial is None:
-        # start from the linear (gamma = 0) solve: unit source, not the
-        # degenerate 0^gamma load of the zero state
-        F0 = load_vector(mesh, np.ones_like(w_mid) * w_mid)[interior]
-        u_int, _ = cg_solve(K, F0, x0=None, tol=cg_tol, precond=precond)
+        # s u0, u0 the gamma = 0 solve, s = max(1, max u0)^(gamma/(1-gamma)),
+        # is a supersolution, K (s u0) = s F(1) >= F(s u0), from which Newton
+        # on this convex problem descends monotonically to the positive one
+        u[interior], _ = cg_solve(K, load_vector(mesh, w_mid)[interior],
+                                  tol=1e-12, precond=precond)
+        u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
     else:
-        u_int = np.asarray(initial, dtype=float)[interior].copy()
-    u[interior] = u_int
-    theta = damping
+        u[interior] = np.asarray(initial, dtype=float)[interior]
     residuals = []
-    prev = np.inf
     for it in range(1, max_iter + 1):
-        u_lin = linear_step(u, u_int)
-        res = float(np.abs(u_lin - u_int).max() / max(np.abs(u_lin).max(), 1e-300))
+        u_mid = midpoint_values(mesh, u)
+        rho = np.maximum(u_mid, 0.0) ** gamma * w_mid
+        # gamma w_mid u_mid^(gamma-1) = gamma rho / u_mid where u_mid > 0
+        c = np.divide(gamma * rho, u_mid, out=np.zeros_like(u_mid),
+                      where=u_mid > 0.0)
+        J = spla.LinearOperator(K.shape, dtype=float,
+                                matvec=lambda p: K @ p - jacobian_term(c, p))
+        d, _ = cg_solve(J, load_vector(mesh, rho)[interior] - K @ u[interior],
+                        tol=1e-12, precond=precond)
+        u[interior] += d
+        res = float(np.abs(d).max() / max(np.abs(u).max(), 1e-300))
         residuals.append(res)
         if res <= tol:
-            u_int = u_lin
-            u[interior] = u_int
             return Solution(mesh=mesh, u=u, weight=w, iterations=it,
                             residuals=tuple(residuals), gamma=gamma)
-        if res > prev:
-            theta = 0.5 * damping
-        prev = res
-        u_int = (1.0 - theta) * u_int + theta * u_lin
-        u[interior] = u_int
     raise ConvergenceError(
-        f"picard iteration stalled at increment {residuals[-1]:.3e} "
+        f"newton iteration stalled at increment {residuals[-1]:.3e} "
         f"after {max_iter} iterations (gamma={gamma})",
         history=residuals,
     )
 
 
 def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
-                cg_tol=1e-13, initial=None) -> Solution:
+                initial=None, precond=None) -> Solution:
     """Ground eigenpair by inverse power iteration with Rayleigh quotients.
 
     Stops when the relative Rayleigh increment drops below tol; the mode is
     returned with exact unit weighted L2 norm and positive sign.  ``initial``
     seeds the iteration (e.g. the mode of a nearby mesh).  Each step solves
-    K y = M x by :func:`cg_solve`, down to a relative residual of
-    ``cg_tol``, preconditioned by one single-precision factor of K built
-    for the whole call.  ``weight`` and the input checks are those of
-    :func:`solve_torsion`.
+    K y = M x by :func:`cg_solve`, down to a relative residual of 1e-13,
+    preconditioned by ``precond``, by default :func:`_factor` of K.
+    ``weight`` and the input checks are those of :func:`solve_torsion`.
     """
     _check_stopping(tol, max_iter)
-    interior = mesh.interior_vertices
-    if len(interior) == 0:
-        raise ValueError("mesh has no interior vertices to solve on")
-    K = assemble_stiffness(mesh, interior)
+    interior, K = _interior_stiffness(mesh)
     w = nodal_weight(mesh, weight)
     M = assemble_mass(mesh, midpoint_values(mesh, w), interior)
-    precond = _factor(K)
+    if precond is None:
+        precond = _factor(K)
 
     if initial is None:
         x = np.ones(len(interior))
@@ -393,7 +402,7 @@ def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
     warm = x / lam
     residuals = []
     for it in range(1, max_iter + 1):
-        y, _ = cg_solve(K, M @ x, x0=warm, tol=cg_tol, precond=precond)
+        y, _ = cg_solve(K, M @ x, x0=warm, tol=1e-13, precond=precond)
         x = y / np.sqrt(float(y @ (M @ y)))
         lam_new = float(x @ (K @ x))
         res = abs(lam_new - lam) / abs(lam_new)

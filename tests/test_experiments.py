@@ -66,6 +66,39 @@ def test_bad_stopping_knobs_exit_2():
         assert len(res.stderr.strip().splitlines()) == 1
 
 
+def test_damping_option_removed(tmp_path):
+    res = run_cli("solve", "--mesh", "disk:1:8", "--damping", "0.5")
+    assert res.returncode == 2
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("damping=0.5\n")
+    res = run_cli("solve", "--mesh", "disk:1:8", "--params", str(cfg))
+    assert res.returncode == 2
+    assert "unknown parameter" in res.stderr
+    # the key stays in the report, null, so schema-1 payloads keep their keys
+    res = run_cli("solve", "--mesh", "disk:1:8", "--gamma", "0.3")
+    payload = json.loads(res.stdout)
+    assert payload["inputs"]["damping"] is None
+    assert [v["name"] for v in payload["verdicts"]] == [
+        "two-form-agreement", "newton-converged"]
+
+
+@pytest.mark.parametrize("gamma", ["0.9", "0.95"])
+def test_solve_near_gamma_one_exits_0(gamma):
+    # damped Picard stalled here at its 200-step cap (exit 3)
+    res = run_cli("solve", "--mesh", "disk:1:80", "--gamma", gamma)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["outputs"]["iterations"] <= 20
+
+
+@pytest.mark.parametrize("mode", [["--gamma", "0.3"], ["--eigen"]])
+def test_variation_without_interior_exits_2(mode):
+    # rect:1:1:1:1 has no interior vertex: rejected before any factor is built
+    res = run_cli("variation", "--mesh", "rect:1:1:1:1", "--flow", "radial",
+                  *mode)
+    assert res.returncode == 2
+    assert "no interior vertices" in res.stderr
+
+
 def test_numerical_failure_exit_3():
     res = run_cli("solve", "--mesh", "disk:1:16", "--gamma", "0.6",
                   "--max-iter", "2")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import torsionlab as tl
-from torsionlab import shape
+from torsionlab import shape, solver
 from torsionlab.errors import DeformationError
 
 
@@ -101,6 +101,40 @@ def test_fd_validate_eigen_small():
     rep = tl.fd_validate_eigen(m, tl.flow_from_spec("stretch-x"), step=1e-3)
     assert rep.kind == "eigen"
     assert rep.rel_err < 5e-2
+
+
+def _fd_checks(m):
+    return (lambda: tl.fd_validate_torsion(m, 0.3, "radial"),
+            lambda: tl.fd_validate_torsion(m, 0.6, "stretch-x",
+                                           weight=lambda p: 1.0 + p[:, 0] ** 2),
+            lambda: tl.fd_validate_eigen(m, "stretch-x"))
+
+
+def test_fd_check_factors_once(monkeypatch):
+    m = tl.build_disk_mesh(1.0, 16)
+    calls, factor = [], solver._factor
+
+    def counting(K):
+        calls.append(K.shape)
+        return factor(K)
+
+    monkeypatch.setattr(solver, "_factor", counting)
+    for check in _fd_checks(m):
+        calls.clear()
+        check()
+        assert calls == [(len(m.interior_vertices),) * 2]
+
+
+def test_shared_factor_matches_fresh_factors(monkeypatch):
+    # the shared factor only preconditions CG: values match solves that each
+    # factor their own mesh, down to the solver tolerances
+    m = tl.build_disk_mesh(1.0, 24)
+    shared = [check() for check in _fd_checks(m)]
+    monkeypatch.setattr(shape, "stiffness_preconditioner", lambda mesh: None)
+    fresh = [check() for check in _fd_checks(m)]
+    for a, b in zip(shared, fresh):
+        assert a.analytic == pytest.approx(b.analytic, rel=1e-10)
+        assert a.fd == pytest.approx(b.fd, rel=1e-10)
 
 
 def test_rigid_translation_fd_verdict():
