@@ -6,6 +6,13 @@ u^gamma, boundary fluxes recovered from one-sided P1 gradients, the
 isoperimetric ratios, the constrained-minimum constant kappa, and level-set
 diagnostics built by polygonal clipping of the P1 interpolant.
 
+The clip is vectorised: the per-triangle quadrature and |grad u| are
+computed once per solution, and each level sums the triangles wholly above
+it and clips the straddling ones in one batch.  A straddling triangle has
+one corner above the level, leaving a corner triangle, or two, leaving a
+quadrilateral split into two triangles; both are integrated by the
+edge-midpoint rule, and the level flux is the chord length times |grad u|.
+
 Conformal bookkeeping: in two dimensions |grad u|_g^2 dA_g and
 |grad u|_g dL_g equal their Euclidean counterparts, so T_grad, flux_L1 and
 the level flux are weight-free; dA_g carries e^{2 phi}, dL_g carries
@@ -174,58 +181,102 @@ def kappa_gamma(report: RigidityReport, gamma: float) -> float:
     return float(report.T_power ** (-(1.0 - gamma) / (1.0 + gamma)))
 
 
-def _clip_above(points, values, w_values, t):
-    """Polygon {u > t} of one triangle with u, w interpolated at new vertices.
+# The clipped polygon {u > t} of a triangle with one or two corners above t,
+# keyed by the bits of the corners above (corner q adds 2^q).  Its vertices
+# index the three corners (0-2) and the level crossings (3-5), crossing 3+q
+# lying on the edge from corner q to corner q+1.  They run in the local
+# order 0, 1, 2 and the polygon is fanned from its first vertex: a
+# quadrilateral (two corners above) is split along the diagonal from that
+# vertex, and a corner triangle (one above) repeats its last vertex, so its
+# second fan triangle is empty.
+_CLIPPED_POLYGON = np.array([
+    [0, 0, 0, 0],  # no corner above: never straddles
+    [0, 3, 5, 5],  # corner 0
+    [3, 1, 4, 4],  # corner 1
+    [0, 1, 4, 5],  # corners 0, 1
+    [4, 2, 5, 5],  # corner 2
+    [0, 3, 4, 2],  # corners 0, 2
+    [3, 1, 2, 5],  # corners 1, 2
+    [0, 0, 0, 0],  # all corners above: never straddles
+])
+_NEXT = [1, 2, 0]
 
-    Returns (poly_points, poly_u, poly_w, chord) where chord is the pair of
-    crossing points of the level line, or None when the triangle does not
-    straddle t.
+
+def _midpoint_terms(p, u, w, gamma):
+    """Edge-midpoint rule on a batch of triangles, u and w linear on each.
+
+    ``p`` holds the vertices on its last two axes (..., 3, 2) and ``u``,
+    ``w`` the vertex values (..., 3).  Returns the area terms (area/3) w and
+    the moment terms (area/3) w max(u, 0)^gamma at the midpoints of the
+    edges (q, q+1), both of shape (..., 3).
     """
-    above = [v > t for v in values]
-    n_above = sum(above)
-    if n_above == 0:
-        return None
-    if n_above == 3:
-        return points, values, w_values, None
-    poly_p, poly_u, poly_w, chord = [], [], [], []
-    for i in range(3):
-        j = (i + 1) % 3
-        if above[i]:
-            poly_p.append(points[i])
-            poly_u.append(values[i])
-            poly_w.append(w_values[i])
-        if above[i] != above[j]:
-            s = (t - values[i]) / (values[j] - values[i])
-            pt = points[i] + s * (points[j] - points[i])
-            poly_p.append(pt)
-            poly_u.append(t)
-            poly_w.append(w_values[i] + s * (w_values[j] - w_values[i]))
-            chord.append(pt)
-    return np.asarray(poly_p), poly_u, poly_w, (chord[0], chord[1])
+    e1 = p[..., 1, :] - p[..., 0, :]
+    e2 = p[..., 2, :] - p[..., 0, :]
+    cross = e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1]
+    third = 0.5 * np.abs(cross) / 3.0
+    a = third[..., None] * (0.5 * (w + w[..., _NEXT]))
+    return a, a * np.maximum(0.5 * (u + u[..., _NEXT]), 0.0) ** gamma
 
 
-def _polygon_quadrature(poly_p, poly_u, poly_w, gamma):
-    """(area, moment of u^gamma) over a convex polygon, u and w linear.
+def _sum_in_order(terms):
+    """Sum along the last axis strictly left to right, as a loop adds."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
-    Fan triangulation from vertex 0 with the edge-midpoint rule.
+
+def _slicer(solution):
+    """t -> superlevel row of ``solution``, see :func:`superlevel_slice`.
+
+    The per-triangle values that do not depend on t are computed here, once:
+    the extremes of u, the quadrature of the triangles wholly above a level,
+    and |grad u|.  Each level then sums the triangles above it and clips
+    only the straddling ones, all at once.  The straddling terms are added
+    in triangle order, one at a time, so that the rows equal those of a
+    loop over the triangles bit for bit, up to the last bit of u^gamma.
     """
-    a_sum = 0.0
-    i_sum = 0.0
-    p0, u0, w0 = poly_p[0], poly_u[0], poly_w[0]
-    for k in range(1, len(poly_p) - 1):
-        p1, p2 = poly_p[k], poly_p[k + 1]
-        tri_area = 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1])
-                             - (p2[0] - p0[0]) * (p1[1] - p0[1]))
-        if tri_area == 0.0:
-            continue
-        u1, u2 = poly_u[k], poly_u[k + 1]
-        mids_u = (0.5 * (u0 + u1), 0.5 * (u1 + u2), 0.5 * (u2 + u0))
-        w1, w2 = poly_w[k], poly_w[k + 1]
-        mids_w = (0.5 * (w0 + w1), 0.5 * (w1 + w2), 0.5 * (w2 + w0))
-        for um, wm in zip(mids_u, mids_w):
-            a_sum += tri_area / 3.0 * wm
-            i_sum += tri_area / 3.0 * wm * max(um, 0.0) ** gamma
-    return a_sum, i_sum
+    mesh, u, gamma = solution.mesh, solution.u, solution.gamma
+    tris = mesh.triangles
+    u_nod = u[tris]
+    u_min = u_nod.min(axis=1)
+    u_max = u_nod.max(axis=1)
+    third = mesh.triangle_areas() / 3.0
+    u_mid = np.maximum(midpoint_values(mesh, u), 0.0)
+    a_tri = third * solution.w_mid.sum(axis=1)
+    i_tri = third * (solution.w_mid * u_mid ** gamma).sum(axis=1)
+    grads = p1_gradients(mesh, u)
+    grad_norm = np.hypot(grads[:, 0], grads[:, 1])
+
+    def slice_at(t):
+        full = u_min > t
+        cut = np.flatnonzero(~full & (u_max > t))
+        tri = tris[cut]
+        pts, vals, wts = mesh.vertices[tri], u[tri], solution.weight[tri]
+        above = vals > t
+        crossed = above != above[:, _NEXT]
+        # the level crossing on edge q, interpolated from corner q to q+1
+        s = np.divide(t - vals, vals[:, _NEXT] - vals,
+                      out=np.zeros_like(vals), where=crossed)
+        cross_p = pts + s[:, :, None] * (pts[:, _NEXT] - pts)
+        cross_w = wts + s * (wts[:, _NEXT] - wts)
+
+        poly = _CLIPPED_POLYGON[above @ np.array([1, 2, 4])]
+        p6 = np.concatenate([pts, cross_p], axis=1)
+        u6 = np.concatenate([vals, np.full_like(vals, t)], axis=1)
+        w6 = np.concatenate([wts, cross_w], axis=1)
+        # the two fan triangles of each clipped polygon, shape (k, 2, 3)
+        fan = (np.arange(len(cut))[:, None, None],
+               poly[:, [[0, 1, 2], [0, 2, 3]]])
+        a_terms, i_terms = _midpoint_terms(p6[fan], u6[fan], w6[fan], gamma)
+        a_cut = _sum_in_order(a_terms.reshape(len(cut), 6))
+        i_cut = _sum_in_order(i_terms.reshape(len(cut), 6))
+        # the level line crosses exactly two edges of a straddling triangle
+        chord = np.diff(cross_p[crossed].reshape(-1, 2, 2), axis=1)[:, 0]
+        flux = np.hypot(chord[:, 0], chord[:, 1]) * grad_norm[cut]
+        return {"t": float(t),
+                "a": float(_sum_in_order(np.r_[a_tri[full].sum(), a_cut])),
+                "I": float(_sum_in_order(np.r_[i_tri[full].sum(), i_cut])),
+                "flux": float(_sum_in_order(np.r_[0.0, flux]))}
+
+    return slice_at
 
 
 def superlevel_slice(solution, t: float) -> dict:
@@ -233,41 +284,10 @@ def superlevel_slice(solution, t: float) -> dict:
 
     a = metric area of {u > t}, I = int_{u>t} u^gamma dA_g, flux = metric
     line integral of |grad u| along the level polyline {u = t} (equal to
-    its Euclidean value by conformal invariance).
+    its Euclidean value by conformal invariance).  A vertex at exactly t
+    counts as below it.
     """
-    mesh, u, gamma = solution.mesh, solution.u, solution.gamma
-    u_nod = u[mesh.triangles]
-    u_min = u_nod.min(axis=1)
-    u_max = u_nod.max(axis=1)
-    full = u_min > t
-    straddle = ~full & (u_max > t)
-
-    areas = mesh.triangle_areas()
-    u_mid = np.maximum(midpoint_values(mesh, u), 0.0)
-    a_tri = (areas / 3.0) * solution.w_mid.sum(axis=1)
-    i_tri = (areas / 3.0) * (solution.w_mid * u_mid ** gamma).sum(axis=1)
-    a_val = float(a_tri[full].sum())
-    i_val = float(i_tri[full].sum())
-    flux = 0.0
-
-    grads = p1_gradients(mesh, u)
-    verts = mesh.vertices
-    for ti in np.nonzero(straddle)[0]:
-        tri = mesh.triangles[ti]
-        pts = verts[tri]
-        vals = u[tri]
-        clipped = _clip_above(pts, list(vals), list(solution.weight[tri]), t)
-        if clipped is None:
-            continue
-        poly_p, poly_u, poly_w, chord = clipped
-        da, di = _polygon_quadrature(poly_p, poly_u, poly_w, gamma)
-        a_val += da
-        i_val += di
-        if chord is not None:
-            seg = chord[1] - chord[0]
-            flux += float(np.hypot(seg[0], seg[1])) * float(
-                np.hypot(grads[ti, 0], grads[ti, 1]))
-    return {"t": float(t), "a": a_val, "I": i_val, "flux": flux}
+    return _slicer(solution)(t)
 
 
 def level_set_profile(solution, n_levels: int) -> list:
@@ -278,7 +298,8 @@ def level_set_profile(solution, n_levels: int) -> list:
     if u_max <= 0.0:
         raise ValueError("solution has no positive values to slice")
     levels = np.linspace(0.0, u_max, n_levels + 2)[1:-1]
-    return [superlevel_slice(solution, t) for t in levels]
+    slice_at = _slicer(solution)
+    return [slice_at(t) for t in levels]
 
 
 def level_flux_defect(rows, i_gamma_full: float) -> float:

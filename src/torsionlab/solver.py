@@ -270,7 +270,8 @@ class Solution:
     its interpolant at the quadrature points.  A torsion solution of
     lap u = -u^gamma carries ``gamma``; a ground mode of lap u = -lam u,
     normalised to unit weighted L2 norm with u > 0 inside, carries ``lam``.
-    ``residuals`` holds the increments of the iteration, one per step.
+    ``residuals`` holds the increments of the iteration, one per step, or
+    the equation residual of a torsion solve returned at gamma = 0.
     """
 
     mesh: object
@@ -317,8 +318,11 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     with S the midpoint average and q = (area/3) w_mid, drops the midpoints
     where u_mid <= 0; it is applied unassembled and is SPD on the positive
     branch (Brezis-Oswald).  ``precond`` defaults to :func:`_factor` of K.
-    The start is a supersolution built from the gamma = 0 solve (one step
-    at gamma = 0), or a nearby ``initial`` (boundary values forced to zero).
+    The start is a supersolution built from the gamma = 0 solve, or a
+    nearby ``initial`` (boundary values forced to zero).  At gamma = 0 the
+    problem is linear and, without ``initial``, that solve is returned as
+    the one step once its equation residual ||F - K u|| / ||F||, which
+    ``residuals`` then holds, is at most tol.
     ``weight`` is None or a callable e^{2 phi}, sampled at the vertices by
     :func:`nodal_weight`.  Raises ValueError for gamma outside [0, 1), a
     nonpositive tol, max_iter below 1, an invalid weight or a mesh without
@@ -344,8 +348,14 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
         # s u0, u0 the gamma = 0 solve, s = max(1, max u0)^(gamma/(1-gamma)),
         # is a supersolution, K (s u0) = s F(1) >= F(s u0), from which Newton
         # on this convex problem descends monotonically to the positive one
-        u[interior], _ = cg_solve(K, load_vector(mesh, w_mid)[interior],
-                                  tol=1e-12, precond=precond)
+        F0 = load_vector(mesh, w_mid)[interior]
+        u[interior], _ = cg_solve(K, F0, tol=1e-12, precond=precond)
+        if gamma == 0.0:
+            res = float(np.linalg.norm(F0 - K @ u[interior])
+                        / np.linalg.norm(F0))
+            if res <= tol:
+                return Solution(mesh=mesh, u=u, weight=w, iterations=1,
+                                residuals=(res,), gamma=gamma)
         u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
     else:
         u[interior] = np.asarray(initial, dtype=float)[interior]

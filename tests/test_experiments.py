@@ -150,6 +150,17 @@ def test_double_run_byte_identity():
     assert a.stdout == b.stdout
 
 
+def test_levelsets_byte_identity_in_process(capsys):
+    argv = ["levelsets", "--mesh", "disk:1:60", "--gamma", "0.3",
+            "--levels", "40"]
+    outs = []
+    for _ in range(2):
+        assert experiments.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(json.loads(outs[0])["outputs"]["rows"]) == 40
+    assert outs[0] == outs[1]
+
+
 def test_params_file_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("gamma=0.3  # comment survives\nmax_iter=150\n")

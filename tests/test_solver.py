@@ -69,6 +69,31 @@ def test_gamma_zero_linear_solve(disk40_g0, oracle_flat_g0):
     assert np.all(sol.u[sol.mesh.boundary_vertices] == 0.0)
 
 
+def test_gamma_zero_returns_the_linear_solve(disk40, monkeypatch):
+    calls = []
+    cg = solver.cg_solve
+
+    def counting_cg(*args, **kwargs):
+        calls.append(1)
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "cg_solve", counting_cg)
+    sol = tl.solve_torsion(disk40, 0.0)
+    assert len(calls) == 1
+    assert sol.iterations == 1
+    assert sol.residuals == (_equation_residual(sol),)
+    assert sol.residual <= 1e-11
+    # a Newton step from the returned start moves it by roundoff only
+    stepped = tl.solve_torsion(disk40, 0.0, initial=sol.u)
+    assert len(calls) == 2 and stepped.iterations == 1
+    assert np.abs(sol.u - stepped.u).max() <= 1e-12 * sol.u.max()
+    # a tol below the start's residual still takes that step
+    strict = tl.solve_torsion(disk40, 0.0, tol=0.5 * sol.residual)
+    assert len(calls) == 4
+    assert strict.residuals == stepped.residuals
+    assert np.array_equal(strict.u, stepped.u)
+
+
 def test_newton_matches_oracle_profile(disk40_g03):
     # frozen radial-oracle values, flat gamma=0.3 unit disk
     assert disk40_g03.u[0] == pytest.approx(0.11829895722304683, rel=2e-3)
