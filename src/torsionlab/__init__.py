@@ -10,11 +10,11 @@ Schwarz-type ratio.
 
 from .errors import (ConvergenceError, DeformationError, DomainError,
                      OracleError, TorsionLabError)
-from .geometry import (BishopGromovReport, RadialMetric, TauValue,
-                       bishop_gromov_check, circle_length, cone_metric,
-                       cone_tau, disk_area, flat_metric, flat_tau,
-                       gauss_curvature, hyperbolic_metric, metric_from_spec,
-                       sphere_metric, tau_circle_upper_bound, user_metric)
+from .geometry import (BishopGromovReport, RadialMetric, bishop_gromov_check,
+                       circle_length, cone_metric, cone_tau, disk_area,
+                       flat_metric, flat_tau, gauss_curvature,
+                       hyperbolic_metric, metric_from_spec, sphere_metric,
+                       tau_circle_upper_bound, user_metric)
 from .mesh import (TriMesh, boundary_geometry, build_disk_mesh,
                    build_ellipse_mesh, build_rectangle_mesh, load_mesh,
                    map_mesh, mesh_from_spec, save_mesh)

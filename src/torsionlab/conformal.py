@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError
 from .mesh import build_disk_mesh, map_mesh
@@ -46,17 +47,16 @@ def _certify(name, fz, dfz, radius, n_r=64, n_theta=64):
     angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
     z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     w = np.asarray(fz(z))
-    if np.min(np.abs(np.asarray(dfz(z)))) <= _GRID_TOL:
+    dw = np.asarray(dfz(z))
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(dw))):
+        raise ValueError(f"map {name!r}: non-finite values inside the "
+                         f"claimed univalence radius {radius:g}")
+    if np.min(np.abs(dw)) <= _GRID_TOL:
         raise ValueError(f"map {name!r}: derivative vanishes inside the "
                          f"claimed univalence radius {radius:g}")
-    n = len(w)
-    for start in range(0, n, 256):
-        chunk = w[start:start + 256]
-        d = np.abs(chunk[:, None] - w[None, :])
-        d[np.arange(len(chunk)), start + np.arange(len(chunk))] = np.inf
-        if d.min() <= _GRID_TOL:
-            raise ValueError(f"map {name!r}: images collide on the sample "
-                             f"grid inside radius {radius:g}")
+    if cKDTree(np.column_stack([w.real, w.imag])).query_pairs(_GRID_TOL):
+        raise ValueError(f"map {name!r}: images collide on the sample "
+                         f"grid inside radius {radius:g}")
 
 
 def _build(name, fz, dfz, radius) -> ConformalMap:
@@ -103,10 +103,11 @@ def moebius_map(c) -> ConformalMap:
 
 
 def _parse_param(text: str) -> complex:
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(float(text))
+    re_s, comma, im_s = text.partition(",")
+    c = complex(float(re_s), float(im_s) if comma else 0.0)
+    if not np.isfinite(c):
+        raise ValueError(f"map parameter must be finite, got {text!r}")
+    return c
 
 
 def map_from_spec(spec: str) -> ConformalMap:

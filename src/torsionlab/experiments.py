@@ -91,24 +91,25 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 2:
             raise ValueError("grid needs at least two points")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"grid values must be finite, got {text!r}")
         return np.linspace(start, stop, count)
     values = np.array([float(v) for v in text.split(",") if v.strip()])
     if values.size == 0:
         raise ValueError(f"empty grid spec {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
     return values
 
 
 def _resolve_tau(metric: geometry.RadialMetric, tau_arg, r_grid) -> float:
-    """Explicit --tau wins; otherwise known metrics get their exact constant
-    and anything else falls back to the circle-length upper bound on the grid."""
+    """Explicit --tau wins, then the metric's exact constant, then the
+    geodesic-circle upper bound on the grid."""
     if tau_arg is not None:
         return geometry.tau_value(tau_arg)
-    if metric.name == "flat":
-        return geometry.flat_tau().value
-    if metric.name.startswith("cone:"):
-        beta = float(metric.name.split(":")[1])
-        return geometry.cone_tau(beta).value
-    return geometry.tau_circle_upper_bound(metric, r_grid).value
+    if metric.tau is not None:
+        return metric.tau
+    return geometry.tau_circle_upper_bound(metric, r_grid)
 
 
 def _solver_kwargs(args) -> dict:
@@ -587,7 +588,7 @@ def _c10_monotonicity(bench):
     # eps = 0.02 keeps the tip cap's extra area (~pi*(1-beta)*eps^2) from
     # polluting T at r = 0.5, where the power-law comparison starts
     cone = geometry.cone_metric(beta, eps=0.02)
-    rows = radial_oracle.sweep_Q(cone, 0.0, geometry.cone_tau(beta).value, grid)
+    rows = radial_oracle.sweep_Q(cone, 0.0, cone.tau, grid)
     qs = np.array([row["Q"] for row in rows])
     diffs = np.diff(qs)
     checks.append(_check("cone-Q-nondecreasing", -float(diffs.min()),
@@ -615,7 +616,7 @@ def _c11_eigen_monotonicity(bench):
     spread = float((qs.max() - qs.min()) / qs.max())
     checks = [_check("flat-lambda-r2-constant", spread, 1e-3)]
     cone = geometry.cone_metric(0.5, eps=0.02)
-    rows = radial_oracle.sweep_eigen_Q(cone, geometry.cone_tau(0.5).value,
+    rows = radial_oracle.sweep_eigen_Q(cone, cone.tau,
                                        np.array([0.5, 1.0, 2.0, 3.0]))
     qs = np.array([row["Q"] for row in rows])
     diffs = np.diff(qs)
@@ -871,6 +872,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # argparse (Python 3.11) reads "--flag=--" as an empty list
+    empty = [flag for flag, value in vars(args).items() if value == []]
+    if empty:
+        print(f"error: --{empty[0].replace('_', '-')} needs a value",
+              file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "format", "json") in ("csv", "both") and not args.out:
         print("error: --format csv/both requires --out", file=sys.stderr)
         return EXIT_USAGE

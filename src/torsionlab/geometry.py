@@ -6,10 +6,11 @@ about the pole have length 2*pi*f(r), geodesic disks have area
 2*pi*int_0^r f(s) ds, and the Gauss curvature is -f''(r)/f(r).  Smoothness
 at the pole requires f(0) = 0 and f'(0) = 1.
 
-The isoperimetric constant tau = inf (boundary length)^2 / area enters the
-rigidity inequalities as an input.  It is represented by :class:`TauValue`,
-which records where the number came from; a geodesic-circle scan provides a
-cheap upper bound but is never silently substituted for an exact value.
+A :class:`RadialMetric` carries f with its first two derivatives and the
+isoperimetric constant tau = inf (boundary length)^2 / area of its surface,
+the input of the rigidity inequalities, where an exact value is known (the
+flat plane and the cone).  Elsewhere tau is None: a geodesic-circle scan
+gives a cheap upper bound, but it is never stored as the metric's tau.
 """
 
 from __future__ import annotations
@@ -25,73 +26,57 @@ from .errors import DomainError
 
 _POLE_PROBE = 1e-8
 _POLE_TOL = 1e-4  # loose enough for spline end-derivative error on tables
-_FD_STEP = 1e-5
 _MONOTONE_RTOL = 1e-9
 _BOUND_SLACK = 1e-9
 
 TAU_FLAT = 4.0 * math.pi
 
-_PROVENANCES = ("exact-flat", "exact-analytic", "circle-upper-bound", "user-supplied")
-
-
-@dataclasses.dataclass(frozen=True)
-class TauValue:
-    """Isoperimetric constant together with the provenance of the number."""
-
-    value: float
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown tau provenance {self.provenance!r}")
-        if not np.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"tau must be finite and nonnegative, got {self.value}")
-        if self.provenance == "exact-flat" and abs(self.value - TAU_FLAT) > 1e-12:
-            raise ValueError("exact-flat provenance requires the value 4*pi")
-
 
 def tau_value(tau) -> float:
-    """The number of an isoperimetric constant given as a TauValue or a float.
+    """An isoperimetric constant as a float.
 
     Raises ValueError unless it is finite and positive.
     """
-    value = float(tau.value) if isinstance(tau, TauValue) else float(tau)
+    value = float(tau)
     if not (np.isfinite(value) and value > 0.0):
         raise ValueError(f"tau must be finite and positive, got {value}")
     return value
 
 
-def flat_tau() -> TauValue:
-    return TauValue(TAU_FLAT, "exact-flat")
+def flat_tau() -> float:
+    return TAU_FLAT
 
 
-def cone_tau(beta: float) -> TauValue:
+def cone_tau(beta: float) -> float:
     """Isoperimetric constant 4*pi*beta of a cone of total apex angle 2*pi*beta."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"cone aperture fraction must lie in (0, 1), got {beta}")
-    return TauValue(4.0 * math.pi * beta, "exact-analytic")
+    return 4.0 * math.pi * beta
 
 
 @dataclasses.dataclass(frozen=True)
 class RadialMetric:
     """Warped-product metric dr^2 + f(r)^2 dtheta^2 on a geodesic disk.
 
-    ``warp`` must accept scalars or numpy arrays.  ``dwarp``/``d2warp`` are
-    optional analytic derivatives; when absent, central differences with a
-    fixed step of 1e-5 are used (the intended path for tabulated warps).
-    The pole condition f(0)=0, f'(0)=1 is checked numerically at r=1e-8,
-    and f must stay positive on (0, r_max].
+    ``warp``, ``dwarp`` and ``d2warp`` are f, f' and f''; each must accept
+    scalars or numpy arrays.  ``tau`` is the exact isoperimetric constant of
+    the surface, or None where no exact value is known.  The pole condition
+    f(0)=0, f'(0)=1 is checked numerically at r=1e-8, and f must stay
+    positive on (0, r_max].
     """
 
     warp: object
+    dwarp: object
+    d2warp: object
     r_max: float
     name: str = "custom"
-    dwarp: object = None
-    d2warp: object = None
+    tau: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.r_max) or self.r_max <= 0.0:
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
+        if self.tau is not None:
+            tau_value(self.tau)
         probe = float(self.warp(_POLE_PROBE))
         if abs(probe / _POLE_PROBE - 1.0) > _POLE_TOL:
             raise ValueError(
@@ -107,21 +92,17 @@ class RadialMetric:
         return np.asarray(self.warp(r), dtype=float)
 
     def df(self, r):
-        if self.dwarp is not None:
-            return np.asarray(self.dwarp(r), dtype=float)
-        r = np.asarray(r, dtype=float)
-        return (self.f(r + _FD_STEP) - self.f(r - _FD_STEP)) / (2.0 * _FD_STEP)
+        return np.asarray(self.dwarp(r), dtype=float)
 
     def d2f(self, r):
-        if self.d2warp is not None:
-            return np.asarray(self.d2warp(r), dtype=float)
-        r = np.asarray(r, dtype=float)
-        return (self.f(r + _FD_STEP) - 2.0 * self.f(r) + self.f(r - _FD_STEP)) / _FD_STEP**2
+        return np.asarray(self.d2warp(r), dtype=float)
 
 
-def _check_radius(metric: RadialMetric, r) -> np.ndarray:
+def check_radius(metric: RadialMetric, r) -> np.ndarray:
+    """The radii r as an array; raises DomainError unless each lies in
+    (0, r_max].  NaN fails, since it lies in no interval."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or np.any(r > metric.r_max):
+    if not np.all((r > 0.0) & (r <= metric.r_max)):
         raise DomainError(
             f"radius must lie in (0, {metric.r_max:g}] for metric {metric.name!r}"
         )
@@ -130,19 +111,19 @@ def _check_radius(metric: RadialMetric, r) -> np.ndarray:
 
 def gauss_curvature(metric: RadialMetric, r):
     """Gauss curvature -f''(r)/f(r) at radius r."""
-    r = _check_radius(metric, r)
+    r = check_radius(metric, r)
     return -metric.d2f(r) / metric.f(r)
 
 
 def circle_length(metric: RadialMetric, r):
     """Length 2*pi*f(r) of the geodesic circle of radius r."""
-    r = _check_radius(metric, r)
+    r = check_radius(metric, r)
     return 2.0 * math.pi * metric.f(r)
 
 
 def disk_area(metric: RadialMetric, r) -> float:
     """Area 2*pi*int_0^r f of the geodesic disk, by adaptive quadrature."""
-    r = _check_radius(metric, r)
+    r = check_radius(metric, r)
     if r.ndim > 0:
         return np.array([disk_area(metric, ri) for ri in r])
     val, _ = quad(lambda s: float(metric.warp(s)), 0.0, float(r),
@@ -163,7 +144,7 @@ def _check_grid(metric: RadialMetric, r_grid) -> np.ndarray:
         raise ValueError("radius grid must be a nonempty 1-d sequence")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("radius grid must be strictly increasing")
-    _check_radius(metric, grid)
+    check_radius(metric, grid)
     return grid
 
 
@@ -188,7 +169,7 @@ def bishop_gromov_check(metric: RadialMetric, r_grid) -> BishopGromovReport:
     return BishopGromovReport(monotone_ok, bound_ok, max(0.0, worst))
 
 
-def tau_circle_upper_bound(metric: RadialMetric, r_grid) -> TauValue:
+def tau_circle_upper_bound(metric: RadialMetric, r_grid) -> float:
     """Upper bound for tau from geodesic circles: min over the grid of L(r)^2/A(r)."""
     grid = _check_grid(metric, r_grid)
     best = math.inf
@@ -196,7 +177,7 @@ def tau_circle_upper_bound(metric: RadialMetric, r_grid) -> TauValue:
         L = float(circle_length(metric, r))
         A = disk_area(metric, r)
         best = min(best, L * L / A)
-    return TauValue(best, "circle-upper-bound")
+    return tau_value(best)
 
 
 def flat_metric(r_max: float = 64.0) -> RadialMetric:
@@ -206,6 +187,7 @@ def flat_metric(r_max: float = 64.0) -> RadialMetric:
         d2warp=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         r_max=r_max,
         name="flat",
+        tau=flat_tau(),
     )
 
 
@@ -228,8 +210,7 @@ def cone_metric(beta: float, eps: float = 0.05, r_max: float = 64.0) -> RadialMe
     negative dip on its outer shoulder), so curvature-based checks should
     sample outside it.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"cone aperture fraction must lie in (0, 1), got {beta}")
+    tau = cone_tau(beta)
     if eps <= 0.0:
         raise ValueError(f"smoothing width must be positive, got {eps}")
     b, e = float(beta), float(eps)
@@ -249,14 +230,15 @@ def cone_metric(beta: float, eps: float = 0.05, r_max: float = 64.0) -> RadialMe
         return (1.0 - b) * g * (2.0 * r / e**2) * (2.0 * r**2 / e**2 - 3.0)
 
     name = f"cone:{beta:g}" if eps == 0.05 else f"cone:{beta:g}:{eps:g}"
-    return RadialMetric(warp=warp, dwarp=dwarp, d2warp=d2warp, r_max=r_max, name=name)
+    return RadialMetric(warp=warp, dwarp=dwarp, d2warp=d2warp, r_max=r_max,
+                        name=name, tau=tau)
 
 
 def user_metric(path: str) -> RadialMetric:
     """Metric from a two-column table of r, f(r) samples, cubic-spline interpolated.
 
-    Derivatives fall back to central differences, matching the generic
-    tabulated-warp path.  The first row should be (0, 0).
+    f' and f'' are the spline's own derivatives.  The first row should be
+    (0, 0).
     """
     data = np.loadtxt(path)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
@@ -265,7 +247,9 @@ def user_metric(path: str) -> RadialMetric:
     if np.any(np.diff(r) <= 0.0):
         raise ValueError(f"warp table {path!r} must have strictly increasing radii")
     spline = CubicSpline(r, f)
-    return RadialMetric(warp=spline, r_max=float(r[-1]), name=f"user:{path}")
+    return RadialMetric(warp=spline, dwarp=spline.derivative(1),
+                        d2warp=spline.derivative(2), r_max=float(r[-1]),
+                        name=f"user:{path}")
 
 
 def metric_from_spec(spec: str) -> RadialMetric:

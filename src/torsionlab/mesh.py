@@ -17,10 +17,21 @@ import numpy as np
 from .errors import DomainError
 
 
-def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+def _checked_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed triangle areas; raises ValueError unless every coordinate is
+    finite and every triangle is counterclockwise and not degenerate."""
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertex coordinates must be finite")
     p = vertices[triangles]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    scale = max(float(np.abs(vertices).max()), 1.0)
+    if np.any(areas <= 1e-14 * scale**2):
+        raise ValueError(
+            f"all triangles must have positive area; min signed area "
+            f"{areas.min():.3e}"
+        )
+    return areas
 
 
 def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
@@ -70,8 +81,9 @@ class TriMesh:
     def from_arrays(cls, vertices, triangles) -> "TriMesh":
         """Validate raw arrays and derive boundary structure.
 
-        Raises ValueError for inverted triangles, nonconforming edge use,
-        or a boundary that does not close up into loops.
+        Raises ValueError for non-finite coordinates, inverted triangles,
+        nonconforming edge use, or a boundary that does not close up into
+        loops.
         """
         verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         tris = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
@@ -83,13 +95,7 @@ class TriMesh:
         if tris.size and (tris.min() < 0 or tris.max() >= n):
             raise ValueError("triangle indices out of range")
 
-        areas = _signed_areas(verts, tris)
-        scale = max(float(np.abs(verts).max()), 1.0)
-        if np.any(areas <= 1e-14 * scale**2):
-            raise ValueError(
-                f"all triangles must have positive area; min signed area "
-                f"{areas.min():.3e}"
-            )
+        areas = _checked_areas(verts, tris)
 
         # directed edges; a conforming orientable mesh uses each at most once
         edges = tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
@@ -146,10 +152,7 @@ class TriMesh:
         new_verts = np.ascontiguousarray(np.asarray(new_vertices, dtype=float))
         if new_verts.shape != self.vertices.shape:
             raise ValueError("replacement vertices must match the existing shape")
-        areas = _signed_areas(new_verts, self.triangles)
-        scale = max(float(np.abs(new_verts).max()), 1.0)
-        if np.any(areas <= 1e-14 * scale**2):
-            raise ValueError("vertex motion inverted or degenerated a triangle")
+        areas = _checked_areas(new_verts, self.triangles)
         return TriMesh(
             vertices=new_verts,
             triangles=self.triangles,
@@ -205,8 +208,8 @@ def build_disk_mesh(radius: float, n_rings: int) -> TriMesh:
     circle.  Each of the six sectors between consecutive rings is stitched
     with an alternating strip of 2k-1 triangles.
     """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if n_rings < 2:
         raise ValueError(f"n_rings must be at least 2, got {n_rings}")
     n = int(n_rings)
@@ -222,16 +225,16 @@ def build_disk_mesh(radius: float, n_rings: int) -> TriMesh:
 
 def build_ellipse_mesh(a: float, b: float, n_rings: int) -> TriMesh:
     """Disk mesh scaled onto the ellipse with semi-axes a, b."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"semi-axes must be positive, got a={a}, b={b}")
+    if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+        raise ValueError(f"semi-axes must be positive and finite, got a={a}, b={b}")
     disk = build_disk_mesh(1.0, n_rings)
     return TriMesh.from_arrays(disk.vertices * np.array([a, b]), disk.triangles)
 
 
 def build_rectangle_mesh(w: float, h: float, nx: int, ny: int) -> TriMesh:
     """Structured rectangle [0,w]x[0,h] split into 2*nx*ny triangles."""
-    if w <= 0.0 or h <= 0.0:
-        raise ValueError(f"side lengths must be positive, got {w}, {h}")
+    if not (0.0 < w < np.inf and 0.0 < h < np.inf):
+        raise ValueError(f"side lengths must be positive and finite, got {w}, {h}")
     if nx < 1 or ny < 1:
         raise ValueError(f"nx, ny must be at least 1, got {nx}, {ny}")
     xs = np.linspace(0.0, w, nx + 1)

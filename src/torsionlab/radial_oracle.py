@@ -20,8 +20,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DomainError, OracleError
-from .geometry import (RadialMetric, circle_length, disk_area, flat_metric,
-                       tau_value)
+from .geometry import (RadialMetric, check_radius, circle_length, disk_area,
+                       flat_metric, tau_value)
 
 _RTOL = 1e-12
 _START_FRAC = 1e-6  # series start at r0 = frac * R
@@ -30,13 +30,11 @@ _BRENT_RTOL = 4.0 * np.finfo(float).eps
 FLAT_DISK_EIGENVALUE = 5.783185962946785  # square of the first zero of J0
 
 
-def _check_setup(metric: RadialMetric, radius: float) -> float:
-    radius = float(radius)
-    if not 0.0 < radius <= metric.r_max:
-        raise DomainError(
-            f"radius {radius} outside (0, {metric.r_max}] of metric {metric.name!r}"
-        )
-    return radius
+def _check_gamma(gamma: float) -> float:
+    gamma = float(gamma)
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    return gamma
 
 
 def _integrate_torsion(metric, gamma, radius, alpha, r0, augmented):
@@ -58,7 +56,7 @@ def _integrate_torsion(metric, gamma, radius, alpha, r0, augmented):
         y0 += [np.pi * ag * ag * r0 ** 4 / 8.0,
                np.pi * ag * r0 * r0,
                np.pi * ag * alpha * r0 * r0]
-    atol = 1e-14 * max(1.0, alpha)
+    atol = 1e-14 * alpha
     sol = solve_ivp(rhs, (r0, radius), y0, method="DOP853",
                     rtol=_RTOL, atol=atol, dense_output=augmented)
     if not sol.success:
@@ -134,10 +132,8 @@ def shoot_torsion(metric: RadialMetric, gamma: float, radius: float,
     Brent's method finishes it off.  ``tol`` bounds |u(R)| relative to
     alpha in the returned profile.
     """
-    radius = _check_setup(metric, radius)
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    radius = float(check_radius(metric, radius))
+    gamma = _check_gamma(gamma)
     r0 = _START_FRAC * radius
 
     def end_value(alpha):
@@ -191,10 +187,8 @@ def _flat_unit_disk_torsion(gamma: float) -> float:
 
 def flat_disk_torsion(gamma: float, radius: float) -> float:
     """T of the flat disk B_radius via the homogeneity T(r B) = r^(4/(1-gamma)) T(B)."""
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if radius <= 0.0:
+    gamma = _check_gamma(gamma)
+    if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     return float(radius) ** (4.0 / (1.0 - gamma)) * _flat_unit_disk_torsion(gamma)
 
@@ -255,7 +249,7 @@ def shoot_eigen(metric: RadialMetric, radius: float,
     count pins a bracket on which u(R; lam) changes sign exactly once.
     ``tol`` bounds |u(R)| relative to the center value.
     """
-    radius = _check_setup(metric, radius)
+    radius = float(check_radius(metric, radius))
     r0 = _START_FRAC * radius
 
     def zeros_and_end(lam):
@@ -314,7 +308,7 @@ def sweep_Q(metric: RadialMetric, gamma: float, tau, r_grid) -> list:
     curvature is nonnegative and tau is the true isoperimetric constant.
     """
     tau_v = tau_value(tau)
-    gamma = float(gamma)
+    gamma = _check_gamma(gamma)
     exponent = tau_v / (np.pi * (1.0 - gamma))
     rows = []
     for r in np.asarray(r_grid, dtype=float):

@@ -52,6 +52,8 @@ def radial_flow() -> FlowSpec:
 
 def translate_flow(dx: float, dy: float) -> FlowSpec:
     shift = np.array([float(dx), float(dy)])
+    if not np.all(np.isfinite(shift)):
+        raise ValueError(f"translation must be finite, got ({dx}, {dy})")
     return FlowSpec(name=f"translate:{dx:g},{dy:g}",
                     velocity=lambda p: np.broadcast_to(shift, p.shape))
 
@@ -170,8 +172,14 @@ class VariationReport:
 
 
 def _fd_step(mesh, step) -> float:
+    """The finite-difference step: ``step`` if given (a negative one gives
+    the same centred difference), else 1e-3 of the mesh diameter."""
     if step is not None:
-        return float(step)
+        step = float(step)
+        if step == 0.0 or not np.isfinite(step):
+            raise ValueError(f"finite-difference step must be finite and "
+                             f"nonzero, got {step}")
+        return step
     diameter = float(np.hypot(np.ptp(mesh.vertices[:, 0]),
                               np.ptp(mesh.vertices[:, 1])))
     return 1e-3 * diameter

@@ -219,7 +219,11 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
         if rel <= tol:
             return x, k
         Ap = A @ p
-        alpha = rz / float(p @ Ap)
+        pAp = float(p @ Ap)
+        if pAp == 0.0 or not np.isfinite(pAp):
+            raise ConvergenceError(
+                f"cg broke down at iteration {k}: p.Ap = {pAp}", history=history)
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         z = r if precond is None else precond(r)

@@ -23,6 +23,19 @@ def test_map_registry_radii():
         tl.map_from_spec("spiral:1")
 
 
+def test_certify_rejects_colliding_images():
+    # z -> z^2 identifies z and -z, which are both on the even polar grid
+    with pytest.raises(ValueError, match="images collide"):
+        conformal._build("square", lambda z: z * z, lambda z: 2.0 * z, 1.0)
+
+
+@pytest.mark.parametrize("spec", ["quad:nan", "cubic:inf", "moebius:nan,0",
+                                  "linear:1:nan"])
+def test_map_with_non_finite_parameter_rejected(spec):
+    with pytest.raises(ValueError):
+        tl.map_from_spec(spec)
+
+
 def test_map_param_parsing():
     cm = tl.map_from_spec("quad:0.1,0.2")
     z = np.array([0.5 + 0.0j])

@@ -198,6 +198,9 @@ def test_parse_grid():
         experiments._parse_grid("0:1:1")
     with pytest.raises(ValueError):
         experiments._parse_grid("0:1:2:5")
+    for bad in ("0.5:inf:4", "nan:1:3", "0.5,nan", "inf,inf,2"):
+        with pytest.raises(ValueError, match="finite"):
+            experiments._parse_grid(bad)
 
 
 def test_coerce():
@@ -220,6 +223,8 @@ def test_resolve_tau():
     assert experiments._resolve_tau(cone, None, grid) == pytest.approx(math.pi)
     sphere = experiments._resolve_tau(geometry.sphere_metric(), None, grid)
     assert sphere < 4 * math.pi
+    assert sphere == geometry.tau_circle_upper_bound(geometry.sphere_metric(),
+                                                     grid)
 
 
 def test_py_sanitizer():
@@ -252,3 +257,66 @@ def test_bad_tau_exit_2(argv):
     assert res.stdout == ""
     assert res.stderr.strip().splitlines() == [res.stderr.strip()]
     assert res.stderr.startswith("error: tau must be finite and positive")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--mesh", "disk:nan:5"),
+    ("solve", "--mesh", "disk:inf:5"),
+    ("solve", "--mesh", "rect:nan:1:3:3"),
+    ("solve", "--mesh", "ellipse:1:nan:5"),
+    ("solve", "--mesh", "image:quad:0.2:nan:5"),
+    ("variation", "--mesh", "disk:1:8", "--h", "0"),
+    ("variation", "--mesh", "disk:1:8", "--h", "nan"),
+    ("variation", "--mesh", "disk:1:8", "--flow", "translate:nan,0"),
+])
+def test_non_finite_and_zero_inputs_exit_2(argv, capsys):
+    # these reached the solver and exited 3 or 4 before being rejected
+    assert experiments.main(list(argv)) == experiments.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_fd_step_gives_the_same_difference(capsys):
+    argv = ["variation", "--mesh", "disk:1:16", "--gamma", "0.3"]
+    reports = []
+    for h in ("1e-3", "-1e-3"):
+        assert experiments.main(argv + [f"--h={h}"]) in (0, 1)
+        reports.append(json.loads(capsys.readouterr().out)["outputs"])
+    assert reports[1]["fd"] == pytest.approx(reports[0]["fd"], rel=1e-12)
+    assert reports[1]["analytic"] == reports[0]["analytic"]
+
+
+def test_radial_flat_gamma_0_9_exits_0(capsys):
+    # the centre value is ~3.5e-8 here; an absolute floor of 1e-14 on the
+    # integration tolerance left the landing test unmeetable (exit 3)
+    assert experiments.main(["radial", "--metric", "flat", "--gamma", "0.9"]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["alpha"] == pytest.approx(3.5e-8, rel=0.1)
+
+
+def test_monotonicity_uses_the_cone_tau_unrounded(capsys):
+    # the display name rounds beta to six digits; the metric's tau does not
+    argv = ["monotonicity", "--metric", "cone:0.1234567:0.02", "--grid", "0.5,1"]
+    experiments.main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert out["outputs"]["tau"] == 4.0 * math.pi * 0.1234567
+    assert out["inputs"]["tau"] == out["outputs"]["tau"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    # argparse reads "--flag=--" as an empty list, which no parser accepted
+    (("solve", "--mesh=--"), 2),
+    (("monotonicity", "--metric", "flat", "--grid", "0.5:2:3", "--gamma", "1"),
+     2),
+    # Newton's right-hand sides fall below float32 range on these small
+    # disks, the preconditioner returns zero and CG breaks down (p.Ap = 0)
+    (("schwarz", "--map", "quad:0.5", "--grid", "0.2:0.8:3", "--n-rings", "2",
+      "--gamma", "0.9"), 3),
+])
+def test_cli_fuzz_findings(argv, code, capsys):
+    # each of these exited 4 with a ZeroDivisionError or AttributeError
+    assert experiments.main(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

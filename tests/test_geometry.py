@@ -5,11 +5,12 @@ import pytest
 
 import torsionlab as tl
 from torsionlab import geometry
+from torsionlab.errors import DomainError
 
 
 def test_tau_constants():
-    assert tl.flat_tau().value == 4 * math.pi
-    assert tl.cone_tau(0.5).value == pytest.approx(2 * math.pi, rel=1e-15)
+    assert tl.flat_tau() == 4 * math.pi
+    assert tl.cone_tau(0.5) == pytest.approx(2 * math.pi, rel=1e-15)
     with pytest.raises(ValueError):
         tl.cone_tau(0.0)
     with pytest.raises(ValueError):
@@ -69,11 +70,10 @@ def test_bishop_gromov_grid_validation():
 def test_tau_circle_upper_bound():
     grid = np.linspace(0.5, 2.0, 4)
     flat = tl.tau_circle_upper_bound(tl.flat_metric(), grid)
-    assert flat.value == pytest.approx(4 * math.pi, rel=1e-9)
-    assert flat.provenance == "circle-upper-bound"
+    assert flat == pytest.approx(4 * math.pi, rel=1e-9)
     # on the sphere L^2/A shrinks with r, so the bound drops below 4*pi
     sph = tl.tau_circle_upper_bound(tl.sphere_metric(), grid)
-    assert sph.value < 4 * math.pi
+    assert sph < 4 * math.pi
 
 
 def test_metric_from_spec_registry():
@@ -94,6 +94,10 @@ def test_user_metric_table(tmp_path):
     m = geometry.metric_from_spec(f"user:{path}")
     assert m.f(1.0) == pytest.approx(math.sin(1.0), rel=1e-8)
     assert tl.gauss_curvature(m, 1.0) == pytest.approx(1.0, rel=1e-3)
+    # f' and f'' are the spline's own derivatives
+    grid = np.linspace(0.2, 1.8, 9)
+    np.testing.assert_allclose(m.df(grid), np.cos(grid), atol=1e-5)
+    np.testing.assert_allclose(m.d2f(grid), -np.sin(grid), atol=2e-3)
     bad = tmp_path / "bad.txt"
     np.savetxt(bad, np.column_stack([r[::-1], np.sin(r)]))
     with pytest.raises(ValueError):
@@ -103,6 +107,32 @@ def test_user_metric_table(tmp_path):
 def test_tau_value_coercion():
     assert geometry.tau_value(tl.flat_tau()) == 4 * math.pi
     assert geometry.tau_value(2.5) == 2.5
-    for bad in (0.0, -1.0, math.nan, math.inf, tl.TauValue(0.0, "user-supplied")):
+    for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             geometry.tau_value(bad)
+
+
+def test_metrics_carry_their_exact_tau():
+    assert tl.flat_metric().tau == 4 * math.pi
+    assert tl.cone_metric(0.1234567).tau == 4 * math.pi * 0.1234567
+    assert tl.cone_metric(0.5, eps=0.02).tau == tl.cone_tau(0.5)
+    assert geometry.metric_from_spec("cone:0.25:0.1").tau == math.pi
+    for metric in (tl.sphere_metric(), tl.hyperbolic_metric()):
+        assert metric.tau is None
+    sphere = tl.sphere_metric()
+    warps = {"warp": sphere.warp, "dwarp": sphere.dwarp,
+             "d2warp": sphere.d2warp, "r_max": 1.0}
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            geometry.RadialMetric(**warps, tau=bad)
+    assert geometry.RadialMetric(**warps, tau=3.0).tau == 3.0
+
+
+def test_radius_check_rejects_nan():
+    flat = tl.flat_metric()
+    for fn in (tl.disk_area, tl.circle_length, tl.gauss_curvature):
+        for bad in (math.nan, np.array([0.5, math.nan]), 0.0, 65.0):
+            with pytest.raises(DomainError):
+                fn(flat, bad)
+    with pytest.raises(DomainError):
+        tl.bishop_gromov_check(flat, [0.5, math.nan])

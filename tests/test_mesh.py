@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab as tl
 from torsionlab.errors import DomainError
@@ -80,6 +84,17 @@ def test_from_arrays_rejects_bad_input():
         tl.TriMesh.from_arrays(v, t)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected(bad):
+    m = tl.build_disk_mesh(1.0, 3)
+    moved = m.vertices.copy()
+    moved[5, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tl.TriMesh.from_arrays(moved, m.triangles)
+    with pytest.raises(ValueError, match="finite"):
+        m.replace_vertices(moved)
+
+
 def test_mesh_arrays_immutable():
     m = tl.build_disk_mesh(1.0, 2)
     with pytest.raises(ValueError):
@@ -105,6 +120,41 @@ def test_save_load_roundtrip(tmp_path):
     m2 = load_mesh(path)
     assert np.array_equal(m2.vertices, m.vertices)
     assert np.array_equal(m2.triangles, m.triangles)
+
+
+_SIDES = st.floats(min_value=0.1, max_value=10.0)
+_COUNTS = st.integers(min_value=2, max_value=12)
+
+
+@st.composite
+def _meshes(draw):
+    kind = draw(st.sampled_from(("disk", "ellipse", "rect")))
+    if kind == "disk":
+        m = tl.build_disk_mesh(draw(_SIDES), draw(_COUNTS))
+    elif kind == "ellipse":
+        m = tl.build_ellipse_mesh(draw(_SIDES), draw(_SIDES), draw(_COUNTS))
+    else:
+        m = tl.build_rectangle_mesh(draw(_SIDES), draw(_SIDES), draw(_COUNTS),
+                                    draw(_COUNTS))
+    # a rotation and shift give coordinates with full-length mantissas
+    angle = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    shift = np.array(draw(st.tuples(_SIDES, _SIDES)))
+    c, s = math.cos(angle), math.sin(angle)
+    return m.replace_vertices(m.vertices @ np.array([[c, s], [-s, c]]) + shift)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=_meshes())
+def test_save_load_roundtrip_is_bit_identical(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mesh")
+        save_mesh(m, path)
+        m2 = load_mesh(path)
+    for name in ("vertices", "triangles", "boundary_vertices",
+                 "boundary_edges", "boundary_edge_tri", "areas"):
+        a, b = getattr(m, name), getattr(m2, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert m2.h == m.h
 
 
 def test_load_mesh_rejects_junk(tmp_path):

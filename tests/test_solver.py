@@ -34,6 +34,15 @@ def test_cg_raises_on_iteration_starvation():
     assert len(err.value.history) == 3
 
 
+def test_cg_breakdown_raises_convergence_error():
+    # an indefinite matrix with p.Ap = 0 on the first direction
+    A = sp.diags([1.0, -1.0], format="csr")
+    with pytest.raises(ConvergenceError, match="broke down"):
+        solver.cg_solve(A, np.ones(2))
+    with pytest.raises(ConvergenceError, match="broke down"):
+        solver.cg_solve(sp.identity(2, format="csr"), np.array([1.0, np.nan]))
+
+
 def test_stiffness_on_reference_triangle():
     m = tl.TriMesh.from_arrays(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -233,6 +242,28 @@ def test_constant_weight_scales_torsion(gamma, c):
     weighted = tl.solve_torsion(DISK, gamma, weight=_constant(c)).u
     expected = c ** (1.0 / (1.0 - gamma)) * plain
     assert np.abs(weighted - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
+SMALL_MESHES = {spec: tl.mesh_from_spec(spec)
+                for spec in ("disk:1:6", "ellipse:1:0.5:6", "rect:1:1:6:6")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(sorted(SMALL_MESHES)),
+       gamma=st.floats(min_value=0.0, max_value=0.9),
+       a=st.floats(min_value=0.2, max_value=5.0),
+       angle=st.floats(min_value=-math.pi, max_value=math.pi),
+       b=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_torsion_scales_under_similarities(spec, gamma, a, angle, b):
+    # x -> a R x + b leaves the P1 stiffness matrix unchanged and scales the
+    # load by a^2, so the discrete solution scales by a^(2/(1-gamma))
+    m = SMALL_MESHES[spec]
+    c, s = math.cos(angle), math.sin(angle)
+    image = m.replace_vertices(a * m.vertices @ np.array([[c, s], [-s, c]])
+                               + np.array(b))
+    t = tl.rigidity(tl.solve_torsion(m, gamma)).T_grad
+    t_image = tl.rigidity(tl.solve_torsion(image, gamma)).T_grad
+    assert t_image == pytest.approx(a ** (4.0 / (1.0 - gamma)) * t, rel=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
