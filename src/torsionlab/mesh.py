@@ -19,14 +19,18 @@ from .errors import DomainError
 
 def _checked_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed triangle areas; raises ValueError unless every coordinate is
-    finite and every triangle is counterclockwise and not degenerate."""
+    finite, every area is too, and every triangle is counterclockwise and
+    not degenerate."""
     if not np.all(np.isfinite(vertices)):
         raise ValueError("vertex coordinates must be finite")
     p = vertices[triangles]
-    areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    scale = max(float(np.abs(vertices).max()), 1.0)
-    if np.any(areas <= 1e-14 * scale**2):
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        floor = 1e-14 * np.square(max(np.abs(vertices).max(), 1.0))
+    if not (np.isfinite(floor) and np.all(np.isfinite(areas))):
+        raise ValueError("mesh coordinates too large")
+    if np.any(areas <= floor):
         raise ValueError(
             f"all triangles must have positive area; min signed area "
             f"{areas.min():.3e}"

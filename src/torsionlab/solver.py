@@ -6,8 +6,9 @@ energies) carry the conformal weight e^{2 phi}.  The weight is sampled at
 the vertices and interpolated to the three edge midpoints of each triangle,
 the quadrature points.  That quadrature is exact for quadratics, which
 makes the consistent mass matrix and the load vector of a P1 weight agree
-row by row: M 1 = F(w).  The torsion problem is solved by Newton's method,
-the ground mode by inverse iteration.  Each solve factors its interior
+row by row: M 1 = F(w).  The torsion problem is solved by Newton's
+method, whose Jacobian is assembled once per step in K's pattern, the
+ground mode by inverse iteration.  Each solve factors its interior
 stiffness matrix once, in single precision, and every linear step runs
 conjugate gradients preconditioned by that factor down to a float64
 residual test.  Both loops are deterministic; reruns of the same inputs
@@ -240,16 +241,34 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
 def _factor(K):
     """Single-precision sparse LU of the SPD matrix K, as a preconditioner.
 
-    Returns r -> K^{-1} r, solved in float32 and returned in float64.  On
+    Returns r -> K^{-1} r, solved in float32 and returned in float64, with
+    r scaled by a power of two into float32 range for the solve.  On
     the 256 x 256 square a float64 factor costs ~55 MB against ~34 MB, and
     its direct solve still leaves a relative residual of ~1.6e-12, above
     the 1e-12 that :func:`solve_torsion` asks of each linear solve, so it
     would need the CG correction all the same.  SuperLU runs single-threaded,
     so the result is deterministic.
     """
-    lu = spla.splu(K.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    return lambda r: lu.solve(r.astype(np.float32)).astype(np.float64)
+    # K is symmetric, so its CSR arrays are also those of K in CSC format;
+    # canonical, so that splu leaves the shared index arrays as they are
+    K.sum_duplicates()
+    Kc = sp.csc_matrix((K.data.astype(np.float32), K.indices, K.indptr),
+                       shape=K.shape)
+    lu = spla.splu(Kc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+
+    def solve(r):
+        # r is scaled by 2^-k into [0.5, 1) before the cast, so a tiny r does
+        # not underflow to zero; a power of two is exact, so a solve that
+        # needed no scaling is bit-identical to the unscaled one
+        top = np.abs(r).max()
+        if top == 0.0 or not np.isfinite(top):
+            return lu.solve(r.astype(np.float32)).astype(np.float64)
+        k = np.frexp(top)[1]
+        x = lu.solve(np.ldexp(r, -k).astype(np.float32))
+        return np.ldexp(x.astype(np.float64), k)
+
+    return solve
 
 
 def _interior_stiffness(mesh):
@@ -263,6 +282,71 @@ def stiffness_preconditioner(mesh):
     """:func:`_factor` of the interior stiffness matrix, the ``precond`` of
     the solvers on this mesh or on a moved copy with the same interior."""
     return _factor(_interior_stiffness(mesh)[1])
+
+
+class _NewtonSystem:
+    """Load F(u) and Jacobian J(u) = K - M_c of a Newton step, edge by edge.
+
+    u and the weight are linear along an edge, so at its midpoint both are
+    the averages u_e, w_e of its end values: the source u_e^gamma w_e and
+    c_e = gamma w_e u_e^(gamma-1) depend on the edge alone.  With m_e the
+    weighted mass w_e (A_1 + A_2) / 12 of the edge's one or two triangles,
+    F_i = 2 sum_e u_e^gamma m_e over the edges at vertex i, and
+    M_c[i, j] = gamma u_e^(gamma-1) m_e, M_c[i, i] the sum of that over the
+    edges at i; midpoints where u_e <= 0 drop out of M_c.  J is a copy of
+    K.data less M_c, sharing K's indices and indptr, so it is exactly
+    symmetric.  The edges and their CSR slots are found once per solve.
+    """
+
+    def __init__(self, mesh, interior, K, w, gamma):
+        m = len(interior)
+        self.K, self.interior, self.gamma = K, interior, gamma
+        # every boundary vertex becomes vertex m, where u = 0; the edges
+        # from interior vertex i to the boundary merge into one edge (i, m)
+        num = np.full(len(mesh.vertices), m, dtype=np.int32)
+        num[interior] = np.arange(m, dtype=np.int32)
+        mass = midpoint_values(mesh, w)
+        mass *= (mesh.triangle_areas() / 12.0)[:, None]
+        self.lo, self.hi, self.mass = _edge_sums(num[mesh.triangles], mass,
+                                                 m + 1)
+        del mass
+        self.inner = self.hi < m
+        lo, hi = self.lo[self.inner], self.hi[self.inner]
+        # K is canonical: row i holds its lower edges' columns, i, then its
+        # upper edges' columns, each sorted, and the edges come sorted by
+        # (lo, hi), so each edge's rank in its row's upper (lower) run
+        # follows from a running count
+        n_up = np.bincount(lo, minlength=m)
+        n_low = np.bincount(hi, minlength=m)
+        rank = np.arange(len(lo))
+        self.up = (K.indptr[lo + 1] - np.cumsum(n_up)[lo] + rank).astype(np.int32)
+        order = np.argsort(hi, kind="stable")
+        self.low = np.empty(len(lo), dtype=np.int32)
+        self.low[order] = (K.indptr[hi[order]] + rank
+                           - (np.cumsum(n_low) - n_low)[hi[order]])
+        self.diag = (K.indptr[1:] - n_up - 1).astype(np.int32)
+
+    def _vertex_sums(self, x):
+        """Sum of the edge values x over the edges at each interior vertex."""
+        m = len(self.interior)
+        sums = np.bincount(self.lo, x, m + 1) + np.bincount(self.hi, x, m + 1)
+        return sums[:m]
+
+    def __call__(self, u):
+        """F(u) and J(u) on the interior; ``u`` is nodal on the full mesh."""
+        x = np.append(u[self.interior], 0.0)
+        u_e = 0.5 * (x[self.lo] + x[self.hi])
+        g = np.maximum(u_e, 0.0) ** self.gamma * self.mass
+        mc = np.divide(self.gamma * g, u_e, out=np.zeros_like(u_e),
+                       where=u_e > 0.0)
+        data = self.K.data.copy()
+        data[self.diag] -= self._vertex_sums(mc)
+        mc = mc[self.inner]
+        data[self.up] -= mc
+        data[self.low] -= mc
+        J = sp.csr_matrix((data, self.K.indices, self.K.indptr),
+                          shape=self.K.shape)
+        return 2.0 * self._vertex_sums(g), J
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,8 +404,9 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     J d = F(u) - K u by :func:`cg_solve` to a relative residual of 1e-12,
     until max|d| / max|u| <= tol.  J = K - S^T diag(gamma q u_mid^(gamma-1)) S,
     with S the midpoint average and q = (area/3) w_mid, drops the midpoints
-    where u_mid <= 0; it is applied unassembled and is SPD on the positive
-    branch (Brezis-Oswald).  ``precond`` defaults to :func:`_factor` of K.
+    where u_mid <= 0; it is assembled once per step in K's pattern (see
+    :class:`_NewtonSystem`) and is SPD on the positive branch
+    (Brezis-Oswald).  ``precond`` defaults to :func:`_factor` of K.
     The start is a supersolution built from the gamma = 0 solve, or a
     nearby ``initial`` (boundary values forced to zero).  At gamma = 0 the
     problem is linear and, without ``initial``, that solve is returned as
@@ -336,23 +421,19 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     _check_stopping(tol, max_iter)
     interior, K = _interior_stiffness(mesh)
     w = nodal_weight(mesh, weight)
-    w_mid = midpoint_values(mesh, w)
+    F0 = load_vector(mesh, midpoint_values(mesh, w))[interior]
     if precond is None:
         precond = _factor(K)
+    # at gamma = 0 the problem is linear: J = K and F = F0.  The edge
+    # layout is built after the factor, whose freed workspace its build
+    # temporaries can reuse
+    system = _NewtonSystem(mesh, interior, K, w, gamma) if gamma > 0 else None
 
     u = np.zeros(len(mesh.vertices))
-    p_full = np.zeros(len(mesh.vertices))
-
-    def jacobian_term(c, p):
-        # the load of c times the midpoint values of p
-        p_full[interior] = p
-        return load_vector(mesh, c * midpoint_values(mesh, p_full))[interior]
-
     if initial is None:
         # s u0, u0 the gamma = 0 solve, s = max(1, max u0)^(gamma/(1-gamma)),
         # is a supersolution, K (s u0) = s F(1) >= F(s u0), from which Newton
         # on this convex problem descends monotonically to the positive one
-        F0 = load_vector(mesh, w_mid)[interior]
         u[interior], _ = cg_solve(K, F0, tol=1e-12, precond=precond)
         if gamma == 0.0:
             res = float(np.linalg.norm(F0 - K @ u[interior])
@@ -365,15 +446,8 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
         u[interior] = np.asarray(initial, dtype=float)[interior]
     residuals = []
     for it in range(1, max_iter + 1):
-        u_mid = midpoint_values(mesh, u)
-        rho = np.maximum(u_mid, 0.0) ** gamma * w_mid
-        # gamma w_mid u_mid^(gamma-1) = gamma rho / u_mid where u_mid > 0
-        c = np.divide(gamma * rho, u_mid, out=np.zeros_like(u_mid),
-                      where=u_mid > 0.0)
-        J = spla.LinearOperator(K.shape, dtype=float,
-                                matvec=lambda p: K @ p - jacobian_term(c, p))
-        d, _ = cg_solve(J, load_vector(mesh, rho)[interior] - K @ u[interior],
-                        tol=1e-12, precond=precond)
+        F, J = (F0, K) if system is None else system(u)
+        d, _ = cg_solve(J, F - K @ u[interior], tol=1e-12, precond=precond)
         u[interior] += d
         res = float(np.abs(d).max() / max(np.abs(u).max(), 1e-300))
         residuals.append(res)

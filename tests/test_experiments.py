@@ -309,10 +309,6 @@ def test_monotonicity_uses_the_cone_tau_unrounded(capsys):
     (("solve", "--mesh=--"), 2),
     (("monotonicity", "--metric", "flat", "--grid", "0.5:2:3", "--gamma", "1"),
      2),
-    # Newton's right-hand sides fall below float32 range on these small
-    # disks, the preconditioner returns zero and CG breaks down (p.Ap = 0)
-    (("schwarz", "--map", "quad:0.5", "--grid", "0.2:0.8:3", "--n-rings", "2",
-      "--gamma", "0.9"), 3),
 ])
 def test_cli_fuzz_findings(argv, code, capsys):
     # each of these exited 4 with a ZeroDivisionError or AttributeError
@@ -320,3 +316,30 @@ def test_cli_fuzz_findings(argv, code, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (("solve", "--mesh", "disk:0.2:4", "--gamma", "0.9"), []),
+    (("solve", "--mesh", "disk:0.2:4", "--gamma", "0.95"), []),
+    # two rings resolve the small-r limit of phi too coarsely: a true verdict
+    (("schwarz", "--map", "quad:0.5", "--grid", "0.2:0.8:3", "--n-rings", "2",
+      "--gamma", "0.9"), ["phi-small-r-limit"]),
+])
+def test_tiny_solutions_reach_a_verdict(argv, failed, capsys):
+    # u is of order 1e-14 on these small disks and Newton's right-hand sides
+    # fell below float32 range: the preconditioner returned zero and CG
+    # broke down (exit 3) until the factor solve scaled them
+    code = experiments.main(list(argv))
+    payload = json.loads(capsys.readouterr().out)
+    assert [v["name"] for v in payload["verdicts"] if not v["pass"]] == failed
+    assert code == (1 if failed else 0)
+
+
+@pytest.mark.parametrize("spec", ["disk:1e200:5", "disk:1e155:5"])
+def test_huge_coordinates_exit_2_without_warnings(spec):
+    # the area products overflowed: three numpy warnings, then the spec
+    # parser's "unrecognized mesh spec"
+    res = run_cli("solve", "--mesh", spec)
+    assert res.returncode == experiments.EXIT_USAGE
+    assert res.stdout == ""
+    assert res.stderr == "error: mesh coordinates too large\n"

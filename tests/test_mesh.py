@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,20 @@ def test_non_finite_coordinates_rejected(bad):
         tl.TriMesh.from_arrays(moved, m.triangles)
     with pytest.raises(ValueError, match="finite"):
         m.replace_vertices(moved)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_huge_coordinates_rejected_without_warnings(scale):
+    # finite coordinates whose area products overflow
+    m = tl.build_disk_mesh(1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mesh coordinates too large"):
+            tl.TriMesh.from_arrays(scale * m.vertices, m.triangles)
+        with pytest.raises(ValueError, match="mesh coordinates too large"):
+            m.replace_vertices(scale * m.vertices)
+        with pytest.raises(ValueError, match="mesh coordinates too large"):
+            mesh_from_spec(f"rect:{scale}:1:3:3")
 
 
 def test_mesh_arrays_immutable():

@@ -141,11 +141,13 @@ def test_newton_converges_near_gamma_one(gamma, steps):
     assert _equation_residual(sol) <= 1e-9
 
 
-@pytest.mark.parametrize("radius, gamma", [(5.0, 0.6), (20.0, 0.6), (5.0, 0.9)])
+@pytest.mark.parametrize("radius, gamma", [(5.0, 0.6), (20.0, 0.6), (5.0, 0.9),
+                                           (0.2, 0.9)])
 def test_torsion_scales_with_radius(radius, gamma):
     # u_R(x) = R^(2/(1-gamma)) u_1(x/R) exactly on the scaled mesh.  On a
     # large disk the gamma = 0 start exceeds 1, and an unscaled start left
-    # the positive branch and ended at u = 0
+    # the positive branch and ended at u = 0.  On the small disk u is of
+    # order 1e-14 and Newton's right-hand sides fall below float32 range
     big = tl.solve_torsion(tl.build_disk_mesh(radius, 24), gamma)
     unit = tl.solve_torsion(tl.build_disk_mesh(1.0, 24), gamma)
     expected = radius ** (2.0 / (1.0 - gamma)) * unit.u
@@ -325,6 +327,20 @@ def test_factor_preconditioned_cg():
     assert np.abs(x - x_plain).max() <= 1e-10 * np.abs(x_plain).max()
 
 
+def test_factor_scales_tiny_right_hand_sides():
+    # the right-hand side is scaled by a power of two into float32 range, so
+    # a scaled r gives the exactly scaled solve, and a tiny one is not zero
+    m = tl.mesh_from_spec("rect:1:1:16:16")
+    K = solver.assemble_stiffness(m, m.interior_vertices)
+    precond = solver._factor(K)
+    r = np.random.default_rng(5).uniform(-1.0, 1.0, K.shape[0])
+    x = precond(r)
+    assert np.abs(K @ x - r).max() <= 1e-5 * np.abs(r).max()
+    for k in (-40, -140, -1000, 100, 900):
+        assert np.array_equal(precond(np.ldexp(r, k)), np.ldexp(x, k))
+    assert not precond(np.zeros_like(r)).any()
+
+
 def test_preconditioned_cg_raises_on_iteration_starvation():
     n = 400
     A = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
@@ -413,3 +429,87 @@ def test_load_vector_matches_add_at(spec):
     ref = np.zeros(len(m.vertices))
     np.add.at(ref, m.triangles.ravel(), floc.ravel())
     assert np.array_equal(solver.load_vector(m, rho), ref)
+
+
+# The Newton Jacobian J = K - M_c, assembled once per step in K's pattern,
+# against the matrix-free product it replaced.
+
+def _hemisphere(points):
+    return 4.0 / (1.0 + (points**2).sum(axis=1)) ** 2
+
+
+def _matrix_free_newton(mesh, K, u, gamma, w_mid):
+    """Load, Jacobian product and midpoint c = gamma w_mid u_mid^(gamma-1) of
+    a Newton step, as solve_torsion formed them before J was assembled: the
+    product p -> K p - S^T diag(q c) S p runs a load assembly of c times the
+    midpoint values of p."""
+    interior = mesh.interior_vertices
+    u_mid = solver.midpoint_values(mesh, u)
+    rho = np.maximum(u_mid, 0.0) ** gamma * w_mid
+    c = np.divide(gamma * rho, u_mid, out=np.zeros_like(u_mid),
+                  where=u_mid > 0.0)
+    p_full = np.zeros(len(mesh.vertices))
+
+    def product(p):
+        p_full[interior] = p
+        term = solver.load_vector(mesh, c * solver.midpoint_values(mesh, p_full))
+        return K @ p - term[interior]
+
+    return solver.load_vector(mesh, rho)[interior], product, c
+
+
+def _newton_step(spec, gamma, weight, seed=0):
+    """A Newton system on ``spec`` at a random u of either sign."""
+    m = tl.mesh_from_spec(spec)
+    interior, K = solver._interior_stiffness(m)
+    w = solver.nodal_weight(m, weight)
+    u = np.zeros(len(m.vertices))
+    u[interior] = np.random.default_rng(seed).uniform(-0.2, 1.0, len(interior))
+    F, J = solver._NewtonSystem(m, interior, K, w, gamma)(u)
+    return m, K, u, solver.midpoint_values(m, w), F, J
+
+
+JACOBIAN_MESHES = ["disk:1:30", "ellipse:1:0.5:20", "rect:1:1:16:16",
+                   "rect:1:1:2:2", "rect:1:1:3:3"]
+
+
+@pytest.mark.parametrize("spec", JACOBIAN_MESHES)
+@pytest.mark.parametrize("gamma", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("weight", [None, _hemisphere], ids=["plane", "hemisphere"])
+def test_assembled_jacobian_matches_matrix_free_product(spec, gamma, weight):
+    m, K, u, w_mid, F, J = _newton_step(spec, gamma, weight)
+    F_ref, product, _ = _matrix_free_newton(m, K, u, gamma, w_mid)
+    for p in np.random.default_rng(1).standard_normal((3, K.shape[0])):
+        ref = product(p)
+        assert np.abs(J @ p - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(F - F_ref).max() <= 1e-13 * np.abs(F_ref).max()
+
+
+@pytest.mark.parametrize("spec", JACOBIAN_MESHES)
+def test_jacobian_is_k_less_weighted_mass_in_k_pattern(spec):
+    m, K, u, w_mid, F, J = _newton_step(spec, 0.6, _hemisphere)
+    assert np.shares_memory(J.indices, K.indices)
+    assert np.shares_memory(J.indptr, K.indptr)
+    assert not np.shares_memory(J.data, K.data)
+    # the weighted mass matrix of c has K's pattern; J - K is minus it
+    c = _matrix_free_newton(m, K, u, 0.6, w_mid)[2]
+    M = solver.assemble_mass(m, c, m.interior_vertices)
+    assert np.array_equal(M.indptr, K.indptr)
+    assert np.array_equal(M.indices, K.indices)
+    assert np.abs(J.data - (K.data - M.data)).max() <= 1e-13 * np.abs(K.data).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(sorted(SMALL_MESHES)),
+       gamma=st.floats(min_value=0.0, max_value=0.99, exclude_min=True),
+       seed=st.integers(0, 2**16))
+def test_jacobian_is_exactly_symmetric(spec, gamma, seed):
+    J = _newton_step(spec, gamma, _hemisphere, seed)[-1]
+    assert (J != J.T).nnz == 0
+
+
+def test_newton_steps_unchanged_by_assembly():
+    # the assembled Jacobian is the matrix-free operator up to roundoff, so
+    # Newton takes the steps it took with the matrix-free product
+    sol = tl.solve_torsion(tl.build_disk_mesh(1.0, 80), 0.6)
+    assert sol.iterations == 7
