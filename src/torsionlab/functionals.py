@@ -25,6 +25,7 @@ import dataclasses
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .geometry import tau_value
 from .mesh import boundary_geometry
 from .solver import (integrate_midpoint, midpoint_values, nodal_weight,
@@ -76,7 +77,10 @@ def rigidity(solution) -> RigidityReport:
     """All rigidity functionals of a torsion solution in one sweep.
 
     An identically zero field short-circuits to an all-zero report rather
-    than reporting the area as the gamma = 0 moment.
+    than reporting the area as the gamma = 0 moment.  Raises
+    ConvergenceError, as ``cg_solve`` does for a value out of float64
+    range, when u is nonzero but either form of T underflows float64, as
+    on a tiny domain, where T scales as r^(4/(1-gamma)).
     """
     mesh, u, gamma = solution.mesh, solution.u, solution.gamma
     if float(np.abs(u).max()) == 0.0:
@@ -88,6 +92,10 @@ def rigidity(solution) -> RigidityReport:
     u_mid = np.maximum(midpoint_values(mesh, u), 0.0)
     T_power = integrate_midpoint(mesh, u_mid ** (1.0 + gamma), solution.w_mid)
     I_gamma = integrate_midpoint(mesh, u_mid ** gamma, solution.w_mid)
+    if min(T_grad, T_power) < np.finfo(float).tiny:
+        raise ConvergenceError(
+            f"rigidity underflows float64: T_grad = {T_grad:.3e}, "
+            f"T_power = {T_power:.3e} from a nonzero u")
 
     dn, lengths = boundary_normal_derivative(mesh, u)
     w_b = _boundary_weight(mesh, solution.weight)

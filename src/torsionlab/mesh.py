@@ -27,7 +27,7 @@ def _checked_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-        floor = 1e-14 * np.square(max(np.abs(vertices).max(), 1.0))
+        floor = 1e-14 * np.square(np.abs(vertices).max())
     if not (np.isfinite(floor) and np.all(np.isfinite(areas))):
         raise ValueError("mesh coordinates too large")
     if np.any(areas <= floor):

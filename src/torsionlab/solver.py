@@ -1,18 +1,17 @@
 """P1 finite elements for the torsion and ground-mode problems.
 
 The Dirichlet energy is conformally invariant in two dimensions, so the
-stiffness matrix never sees the metric; only area integrals (mass, load,
-energies) carry the conformal weight e^{2 phi}.  The weight is sampled at
-the vertices and interpolated to the three edge midpoints of each triangle,
-the quadrature points.  That quadrature is exact for quadratics, which
-makes the consistent mass matrix and the load vector of a P1 weight agree
-row by row: M 1 = F(w).  The torsion problem is solved by Newton's
-method, whose Jacobian is assembled once per step in K's pattern, the
-ground mode by inverse iteration.  Each solve factors its interior
-stiffness matrix once, in single precision, and every linear step runs
-conjugate gradients preconditioned by that factor down to a float64
-residual test.  Both loops are deterministic; reruns of the same inputs
-produce bit-identical iterates.
+stiffness matrix never sees the metric; only area integrals carry the
+conformal weight e^{2 phi}, sampled at the vertices and interpolated to
+the edge midpoints, the quadrature points.  That quadrature is exact for
+quadratics and makes every P1 object a sum over the mesh edges: the
+stiffness K, the weighted mass M(w), the load F(w) = M 1 and the Newton
+Jacobian J(u) = K - M_c all come from one :class:`EdgeOperator` per
+solve.  The torsion problem is solved by Newton's method, the ground mode
+by inverse iteration.  Each solve factors K once, in single precision, and
+every linear step runs conjugate gradients preconditioned by that factor
+down to a float64 residual test.  Both loops are deterministic; reruns of
+the same inputs produce bit-identical iterates.
 """
 
 from __future__ import annotations
@@ -77,100 +76,167 @@ def _edge_vectors(mesh) -> np.ndarray:
     return e
 
 
-def _edge_sums(tri, off, m):
-    """Sum edge entries over the (one or two) triangles sharing each edge.
+def _edge_sums(tri, m, entries, weights):
+    """Sum over the (one or two) triangles sharing each mesh edge.
 
-    ``tri`` holds renumbered vertices (-1 for dropped ones) and ``off[t, q]``
-    the local entry on edge q of triangle t, which joins its local vertices
-    _MIDPOINT_PAIRS[q].  Returns the end points lo < hi of every edge with
-    both ends kept, and the summed entries; a sum of two terms is exact in
-    either order.
+    ``tri`` holds renumbered vertices, the m interior ones first;
+    ``entries[t, q]`` is a value on edge q of triangle t, which joins its
+    local vertices _MIDPOINT_PAIRS[q], and ``weights[t]`` a value of
+    triangle t.  Returns the end points lo < hi of every edge with an
+    interior end (lo < m), sorted by (lo, hi), and per edge the sums of
+    ``entries`` and of ``weights``; a sum of two terms is exact in either
+    order.
     """
+    n = int(tri.max()) + 1
     a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
-    keep = (a >= 0) & (b >= 0)
-    key = np.minimum(a, b)[keep].astype(np.int64) * m + np.maximum(a, b)[keep]
-    if key.size == 0:  # no two kept vertices are adjacent
-        empty = np.zeros(0, dtype=np.int32)
-        return empty, empty, np.zeros(0)
-    order = np.argsort(key)
-    key = key[order]
+    key = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    del a, b  # each temporary freed early lowers the peak of a solve
+    at = np.flatnonzero(key < m * n)  # flat index t * 3 + q of each term
+    key = key.ravel()[at]
+    by_key = np.argsort(key)
+    key, at = key[by_key], at[by_key]
+    del by_key
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sums = np.add.reduceat(off[keep][order], first)
-    lo, hi = np.divmod(key[first], m)
-    return lo.astype(np.int32), hi.astype(np.int32), sums
+    entry_sums = np.add.reduceat(entries.ravel()[at], first)
+    weight_sums = np.add.reduceat(weights[at // 3], first)
+    lo, hi = np.divmod(key[first], n)
+    return lo.astype(np.int32), hi.astype(np.int32), entry_sums, weight_sums
 
 
-def _scatter(mesh, loc, dofs) -> sp.csr_matrix:
-    """Sum symmetric local (ntri, 3, 3) blocks into a sparse matrix on ``dofs``.
+@dataclasses.dataclass(frozen=True, eq=False)
+class EdgeOperator:
+    """The mesh edges with an interior end, and the stiffness K from them.
 
-    Row and column r belong to vertex dofs[r]; entries that touch any other
-    vertex are dropped, so the interior system is built without forming and
-    slicing the full one.  All vertices when ``dofs`` is None.  The pattern
-    is that of the full assembly: the diagonal and both directions of every
-    mesh edge.  Summing per edge, rather than converting all 9 ntri local
-    entries from coordinate format, keeps the temporaries, and with them the
-    peak memory of a solve, small.
+    ``order`` lists the interior vertices, then the boundary ones; edge e
+    joins lo[e] < hi[e] in that numbering and carries its area share
+    ``share[e]`` = (A_1 + A_2) / 12.  An edge between interior vertices has
+    its entries (lo, hi), (hi, lo) at slots ``up``, ``low`` of K's CSR
+    arrays, row i its diagonal at ``diag[i]``.  The cotangent weights are
+    not kept once K holds them, as the operator lives through K's factor.
     """
-    n = len(mesh.vertices)
-    if dofs is None:
-        dofs = np.arange(n)
-    m = len(dofs)
-    num = np.full(n, -1, dtype=np.int32)
-    num[dofs] = np.arange(m, dtype=np.int32)
-    tri = num[mesh.triangles]
-    keep = tri >= 0
-    diag = np.bincount(tri[keep], weights=np.diagonal(loc, axis1=1, axis2=2)[keep],
-                       minlength=m)
-    lo, hi, off = _edge_sums(tri, loc[:, [1, 2, 0], [2, 0, 1]], m)
-    ids = np.arange(m, dtype=np.int32)
-    return sp.coo_matrix((np.concatenate([off, off, diag]),
-                          (np.concatenate([lo, hi, ids]), np.concatenate([hi, lo, ids]))),
-                         shape=(m, m)).tocsr()
+
+    order: np.ndarray
+    m: int
+    lo: np.ndarray
+    hi: np.ndarray
+    share: np.ndarray
+    up: np.ndarray
+    low: np.ndarray
+    diag: np.ndarray
+    K: sp.csr_matrix = dataclasses.field(repr=False)
+
+    @property
+    def interior(self) -> np.ndarray:
+        """Mesh vertex of each interior unknown."""
+        return self.order[:self.m]
+
+    def vertex_sums(self, x) -> np.ndarray:
+        """Sum of the edge values x over the edges at each interior vertex."""
+        n = len(self.order)
+        return (np.bincount(self.lo, x, n) + np.bincount(self.hi, x, n))[:self.m]
+
+    def edge_mass(self, w) -> np.ndarray:
+        """Weighted mass w_e share_e of each edge, w_e the mean of the nodal
+        weight ``w`` at the edge's two ends (its value at the midpoint)."""
+        x = np.asarray(w, dtype=float)[self.order]
+        return 0.5 * (x[self.lo] + x[self.hi]) * self.share
+
+    def fill(self, data, diag, off):
+        """Write ``diag`` on the diagonal and ``off`` at the edges between
+        interior vertices into the CSR ``data`` of K's pattern."""
+        data[self.diag] = diag
+        off = off[self.hi < self.m]
+        data[self.up] = off
+        data[self.low] = off
+
+    def matrix(self, diag, off) -> sp.csr_matrix:
+        """Symmetric matrix on K's index arrays, filled by :meth:`fill`."""
+        data = np.empty(len(self.K.indices))
+        self.fill(data, diag, off)
+        return sp.csr_matrix((data, self.K.indices, self.K.indptr),
+                             shape=self.K.shape)
+
+    def newton(self, w, u, gamma):
+        """Load F(u) = 2 sum_e u_e^gamma m_e over the edges at each vertex
+        and Jacobian K - M_c, M_c the mass matrix of gamma u_e^(gamma-1)
+        without the edges where u_e <= 0; m_e is :meth:`edge_mass` of the
+        nodal weight ``w``, ``u`` is nodal and zero on the boundary, and u_e
+        its mean on edge e.
+        """
+        x = u[self.order]
+        u_e = 0.5 * (x[self.lo] + x[self.hi])
+        g = np.maximum(u_e, 0.0) ** gamma * self.edge_mass(w)
+        mc = np.divide(gamma * g, u_e, out=np.zeros_like(u_e),
+                       where=u_e > 0.0)
+        J = self.matrix(self.vertex_sums(mc), mc)  # M_c, made K - M_c in place
+        np.subtract(self.K.data, J.data, out=J.data)
+        return 2.0 * self.vertex_sums(g), J
 
 
-def assemble_stiffness(mesh, dofs=None) -> sp.csr_matrix:
-    """Unweighted P1 stiffness matrix; K[i,j] = int grad phi_i . grad phi_j.
+def assemble_stiffness(mesh) -> EdgeOperator:
+    """Edge operator of the mesh, with the interior P1 stiffness matrix
+    K[i,j] = int grad phi_i . grad phi_j as its ``K``.
 
-    ``dofs`` restricts rows and columns to those vertices, in that order
-    (all vertices by default).
+    Off the diagonal K holds the cotangent weight k_e of each edge, the sum
+    of (e_a . e_b) / (4 A) over its triangles, e_a and e_b the triangle's
+    other two edges.  Raises ValueError for a mesh without interior vertices.
     """
+    interior = mesh.interior_vertices
+    m, n = len(interior), len(mesh.vertices)
+    if m == 0:
+        raise ValueError("mesh has no interior vertices to solve on")
+    order = np.concatenate([interior, mesh.boundary_vertices], dtype=np.int32)
+    num = np.empty(n, dtype=np.int32)
+    num[order] = np.arange(n, dtype=np.int32)
     e = _edge_vectors(mesh)
-    # K_loc[i, j] = (e_i . e_j) / (4 A)
-    kloc = np.einsum("tid,tjd->tij", e, e)
-    del e  # not needed by the scatter; freeing it lowers the peak
-    kloc /= (4.0 * mesh.triangle_areas())[:, None, None]
-    return _scatter(mesh, kloc, dofs)
-
-
-def assemble_mass(mesh, w_mid, dofs=None) -> sp.csr_matrix:
-    """Consistent weighted mass matrix from midpoint quadrature.
-
-    Off-diagonal (i, j) picks up the weight at the midpoint between them,
-    the diagonal the two midpoints touching vertex i:
-    M_loc[i,j] = A w_k / 12, M_loc[i,i] = A (S - w_i) / 12, S = w_0+w_1+w_2.
-    ``dofs`` restricts rows and columns as in :func:`assemble_stiffness`.
-    """
+    kloc = np.empty(mesh.triangles.shape)
+    for q, (a, b) in enumerate(_MIDPOINT_PAIRS):
+        kloc[:, q] = e[:, a, 0] * e[:, b, 0] + e[:, a, 1] * e[:, b, 1]
+    del e
     areas = mesh.triangle_areas()
-    w = np.asarray(w_mid, dtype=float)
-    s = w.sum(axis=1)
-    mloc = np.empty((len(areas), 3, 3))
-    for i in range(3):
-        mloc[:, i, i] = s - w[:, i]
-        for j in range(i + 1, 3):
-            k = 3 - i - j
-            mloc[:, i, j] = mloc[:, j, i] = w[:, k]
-    mloc *= (areas / 12.0)[:, None, None]
-    return _scatter(mesh, mloc, dofs)
+    kloc /= (4.0 * areas)[:, None]
+    lo, hi, k, share = _edge_sums(num[mesh.triangles], m, kloc, areas / 12.0)
+    del kloc
+    # copied once the sort's temporaries are freed, the arrays that live
+    # through K's factor leave its workspace that memory in one piece
+    lo, hi, share = lo.copy(), hi.copy(), share.copy()
+
+    # row i of K's canonical CSR arrays holds its lower edges' columns, i,
+    # then its upper edges' columns, each ascending.  The edges come sorted
+    # by (lo, hi), so a stable sort by row of [lower entries, diagonal,
+    # upper entries] puts every entry in its slot
+    inner = hi < m
+    n_in = int(inner.sum())
+    ids = np.arange(m, dtype=np.int32)
+    rows = np.concatenate([hi[inner], ids, lo[inner]])
+    by_row = np.argsort(rows, kind="stable")
+    slots = np.empty(len(rows), dtype=np.int32)
+    slots[by_row] = np.arange(len(rows), dtype=np.int32)
+    low, diag, up = np.split(slots, [n_in, n_in + m])
+    indices = np.concatenate([lo[inner], ids, hi[inner]])[by_row]
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    K = sp.csr_matrix((np.empty(len(indices)), indices, indptr), shape=(m, m))
+    op = EdgeOperator(order=order, m=m, lo=lo, hi=hi, share=share, up=up,
+                      low=low, diag=diag, K=K)
+    # a row of the full K sums to zero, so its diagonal is minus the
+    # cotangent weights of all its edges, those to the boundary included
+    op.fill(K.data, -op.vertex_sums(k), k)
+    return op
 
 
-def load_vector(mesh, rho_mid) -> np.ndarray:
-    """Nodal load F_i = int rho phi_i, rho given at the edge midpoints."""
-    areas = mesh.triangle_areas()
-    rho = np.asarray(rho_mid, dtype=float)
-    s = rho.sum(axis=1)
-    floc = (s[:, None] - rho) * (areas / 6.0)[:, None]
-    return np.bincount(mesh.triangles.ravel(), weights=floc.ravel(),
-                       minlength=len(mesh.vertices))
+def assemble_mass(op, w) -> sp.csr_matrix:
+    """Consistent weighted mass matrix M(w) on the interior, in K's pattern:
+    the :meth:`EdgeOperator.edge_mass` m_e of the nodal weight ``w`` off the
+    diagonal, and the sum of m_e over the edges at vertex i on it."""
+    mass = op.edge_mass(w)
+    return op.matrix(op.vertex_sums(mass), mass)
+
+
+def load_vector(op, w) -> np.ndarray:
+    """Interior load F_i(w) = int w phi_i = 2 sum_e m_e over the edges at
+    vertex i, the row sum of the full mass matrix; ``w`` is nodal."""
+    return 2.0 * op.vertex_sums(op.edge_mass(w))
 
 
 def integrate_midpoint(mesh, vals_mid, w_mid=None) -> float:
@@ -191,6 +257,7 @@ def p1_gradients(mesh, u) -> np.ndarray:
     return np.column_stack([gx, gy]) / (2.0 * mesh.triangle_areas())[:, None]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
     """Preconditioned conjugate gradients down to a relative residual.
 
@@ -199,13 +266,18 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
     the float64 relative residual ||b - A x|| / ||b|| <= tol, whatever the
     precision of the preconditioner.  Deterministic and warm-startable;
     returns (x, iterations).  Raises ConvergenceError with the residual
-    history if the cap is hit.
+    history if the cap is hit, and without one if ||b|| of a nonzero b is
+    not a finite normal float64.  Overflow raises no numpy warning.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    if not b.any():
         return np.zeros(n), 0
+    bnorm = float(np.linalg.norm(b))
+    if not np.finfo(float).tiny <= bnorm < np.inf:
+        raise ConvergenceError(
+            f"cg broke down: the nonzero right-hand side has norm {bnorm}, "
+            f"outside the normal float64 range")
     if max_iter is None:
         max_iter = max(10 * n, 50)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -271,82 +343,10 @@ def _factor(K):
     return solve
 
 
-def _interior_stiffness(mesh):
-    interior = mesh.interior_vertices
-    if len(interior) == 0:
-        raise ValueError("mesh has no interior vertices to solve on")
-    return interior, assemble_stiffness(mesh, interior)
-
-
 def stiffness_preconditioner(mesh):
     """:func:`_factor` of the interior stiffness matrix, the ``precond`` of
     the solvers on this mesh or on a moved copy with the same interior."""
-    return _factor(_interior_stiffness(mesh)[1])
-
-
-class _NewtonSystem:
-    """Load F(u) and Jacobian J(u) = K - M_c of a Newton step, edge by edge.
-
-    u and the weight are linear along an edge, so at its midpoint both are
-    the averages u_e, w_e of its end values: the source u_e^gamma w_e and
-    c_e = gamma w_e u_e^(gamma-1) depend on the edge alone.  With m_e the
-    weighted mass w_e (A_1 + A_2) / 12 of the edge's one or two triangles,
-    F_i = 2 sum_e u_e^gamma m_e over the edges at vertex i, and
-    M_c[i, j] = gamma u_e^(gamma-1) m_e, M_c[i, i] the sum of that over the
-    edges at i; midpoints where u_e <= 0 drop out of M_c.  J is a copy of
-    K.data less M_c, sharing K's indices and indptr, so it is exactly
-    symmetric.  The edges and their CSR slots are found once per solve.
-    """
-
-    def __init__(self, mesh, interior, K, w, gamma):
-        m = len(interior)
-        self.K, self.interior, self.gamma = K, interior, gamma
-        # every boundary vertex becomes vertex m, where u = 0; the edges
-        # from interior vertex i to the boundary merge into one edge (i, m)
-        num = np.full(len(mesh.vertices), m, dtype=np.int32)
-        num[interior] = np.arange(m, dtype=np.int32)
-        mass = midpoint_values(mesh, w)
-        mass *= (mesh.triangle_areas() / 12.0)[:, None]
-        self.lo, self.hi, self.mass = _edge_sums(num[mesh.triangles], mass,
-                                                 m + 1)
-        del mass
-        self.inner = self.hi < m
-        lo, hi = self.lo[self.inner], self.hi[self.inner]
-        # K is canonical: row i holds its lower edges' columns, i, then its
-        # upper edges' columns, each sorted, and the edges come sorted by
-        # (lo, hi), so each edge's rank in its row's upper (lower) run
-        # follows from a running count
-        n_up = np.bincount(lo, minlength=m)
-        n_low = np.bincount(hi, minlength=m)
-        rank = np.arange(len(lo))
-        self.up = (K.indptr[lo + 1] - np.cumsum(n_up)[lo] + rank).astype(np.int32)
-        order = np.argsort(hi, kind="stable")
-        self.low = np.empty(len(lo), dtype=np.int32)
-        self.low[order] = (K.indptr[hi[order]] + rank
-                           - (np.cumsum(n_low) - n_low)[hi[order]])
-        self.diag = (K.indptr[1:] - n_up - 1).astype(np.int32)
-
-    def _vertex_sums(self, x):
-        """Sum of the edge values x over the edges at each interior vertex."""
-        m = len(self.interior)
-        sums = np.bincount(self.lo, x, m + 1) + np.bincount(self.hi, x, m + 1)
-        return sums[:m]
-
-    def __call__(self, u):
-        """F(u) and J(u) on the interior; ``u`` is nodal on the full mesh."""
-        x = np.append(u[self.interior], 0.0)
-        u_e = 0.5 * (x[self.lo] + x[self.hi])
-        g = np.maximum(u_e, 0.0) ** self.gamma * self.mass
-        mc = np.divide(self.gamma * g, u_e, out=np.zeros_like(u_e),
-                       where=u_e > 0.0)
-        data = self.K.data.copy()
-        data[self.diag] -= self._vertex_sums(mc)
-        mc = mc[self.inner]
-        data[self.up] -= mc
-        data[self.low] -= mc
-        J = sp.csr_matrix((data, self.K.indices, self.K.indptr),
-                          shape=self.K.shape)
-        return 2.0 * self._vertex_sums(g), J
+    return _factor(assemble_stiffness(mesh).K)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -402,11 +402,10 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
 
     F is the load of the source max(u, 0)^gamma.  Each step solves
     J d = F(u) - K u by :func:`cg_solve` to a relative residual of 1e-12,
-    until max|d| / max|u| <= tol.  J = K - S^T diag(gamma q u_mid^(gamma-1)) S,
-    with S the midpoint average and q = (area/3) w_mid, drops the midpoints
-    where u_mid <= 0; it is assembled once per step in K's pattern (see
-    :class:`_NewtonSystem`) and is SPD on the positive branch
-    (Brezis-Oswald).  ``precond`` defaults to :func:`_factor` of K.
+    until max|d| / max|u| <= tol.  K, F and J all come from the mesh's
+    :class:`EdgeOperator` (see :meth:`EdgeOperator.newton`); J is SPD on
+    the positive branch (Brezis-Oswald).  ``precond`` defaults to
+    :func:`_factor` of K.
     The start is a supersolution built from the gamma = 0 solve, or a
     nearby ``initial`` (boundary values forced to zero).  At gamma = 0 the
     problem is linear and, without ``initial``, that solve is returned as
@@ -419,15 +418,12 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     """
     gamma = _check_gamma(gamma)
     _check_stopping(tol, max_iter)
-    interior, K = _interior_stiffness(mesh)
+    op = assemble_stiffness(mesh)
+    K, interior = op.K, op.interior
     w = nodal_weight(mesh, weight)
-    F0 = load_vector(mesh, midpoint_values(mesh, w))[interior]
+    F0 = load_vector(op, w)
     if precond is None:
         precond = _factor(K)
-    # at gamma = 0 the problem is linear: J = K and F = F0.  The edge
-    # layout is built after the factor, whose freed workspace its build
-    # temporaries can reuse
-    system = _NewtonSystem(mesh, interior, K, w, gamma) if gamma > 0 else None
 
     u = np.zeros(len(mesh.vertices))
     if initial is None:
@@ -446,7 +442,8 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
         u[interior] = np.asarray(initial, dtype=float)[interior]
     residuals = []
     for it in range(1, max_iter + 1):
-        F, J = (F0, K) if system is None else system(u)
+        # at gamma = 0 the problem is linear: J = K and F = F0
+        F, J = (F0, K) if gamma == 0.0 else op.newton(w, u, gamma)
         d, _ = cg_solve(J, F - K @ u[interior], tol=1e-12, precond=precond)
         u[interior] += d
         res = float(np.abs(d).max() / max(np.abs(u).max(), 1e-300))
@@ -469,13 +466,15 @@ def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
     returned with exact unit weighted L2 norm and positive sign.  ``initial``
     seeds the iteration (e.g. the mode of a nearby mesh).  Each step solves
     K y = M x by :func:`cg_solve`, down to a relative residual of 1e-13,
-    preconditioned by ``precond``, by default :func:`_factor` of K.
+    preconditioned by ``precond``, by default :func:`_factor` of K.  K and
+    the weighted mass matrix M come from one :class:`EdgeOperator`.
     ``weight`` and the input checks are those of :func:`solve_torsion`.
     """
     _check_stopping(tol, max_iter)
-    interior, K = _interior_stiffness(mesh)
+    op = assemble_stiffness(mesh)
+    K, interior = op.K, op.interior
     w = nodal_weight(mesh, weight)
-    M = assemble_mass(mesh, midpoint_values(mesh, w), interior)
+    M = assemble_mass(op, w)
     if precond is None:
         precond = _factor(K)
 

@@ -335,6 +335,25 @@ def test_tiny_solutions_reach_a_verdict(argv, failed, capsys):
     assert code == (1 if failed else 0)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--mesh", "disk:1e100:5"),
+    ("--mesh", "disk:1e-100:5", "--gamma", "0.5"),
+    ("--mesh", "disk:1e-10:5", "--gamma", "0.9"),
+    ("--mesh", "disk:1e-78:5", "--gamma", "0"),
+])
+def test_out_of_range_solutions_exit_3_in_one_line(argv):
+    # the load's norm overflows (1e100) or underflows (1e-100), or does so
+    # in a later Newton step (1e-10 at gamma 0.9, where u ~ 3e-208), or u
+    # is normal but T ~ 4e-313 is not (1e-78).  The first printed five
+    # overflow warnings before its exit 3; the others must not report a
+    # pass with T = 0
+    res = run_cli("solve", *argv)
+    assert res.returncode == experiments.EXIT_NUMERICAL
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert len(res.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("spec", ["disk:1e200:5", "disk:1e155:5"])
 def test_huge_coordinates_exit_2_without_warnings(spec):
     # the area products overflowed: three numpy warnings, then the spec
