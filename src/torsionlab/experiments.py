@@ -71,6 +71,16 @@ def _check(name: str, measured: float, tolerance: float, ok=None) -> dict:
             "tolerance": float(tolerance), "pass": passed}
 
 
+def _monotone(name: str, values, tol: float, increasing: bool = True) -> dict:
+    """:func:`conformal.monotonicity_verdict` that ``values`` never fall
+    (rise, if not ``increasing``) by over tol * max|values|; measured is the
+    worst step; max diff(v) is exactly 0.0 - min diff(-v), signed zeros too."""
+    v = np.asarray(values, dtype=float)
+    verdict = conformal.monotonicity_verdict(v if increasing else -v, tol)
+    worst = verdict["min_forward_diff"]
+    return _check(name, -worst if increasing else 0.0 - worst, verdict["tol"])
+
+
 def _payload(experiment: str, inputs: dict, outputs: dict, verdicts: list) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -95,8 +105,8 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ValueError(f"grid values must be finite, got {text!r}")
         return np.linspace(start, stop, count)
     values = np.array([float(v) for v in text.split(",") if v.strip()])
-    if values.size == 0:
-        raise ValueError(f"empty grid spec {text!r}")
+    if values.size < 2:
+        raise ValueError("grid needs at least two points")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"grid values must be finite, got {text!r}")
     return values
@@ -263,14 +273,12 @@ def _cmd_monotonicity(args):
     r_grid = _parse_grid(args.grid)
     tau = _resolve_tau(metric, args.tau, r_grid)
     rows = radial_oracle.sweep_Q(metric, args.gamma, tau, r_grid)
-    qs = np.array([row["Q"] for row in rows])
-    diffs = np.diff(qs)
-    worst = float(diffs.min()) if diffs.size else 0.0
+    check = _monotone("Q-nondecreasing", [row["Q"] for row in rows], 1e-9)
     bg = geometry.bishop_gromov_check(metric, r_grid)
     outputs = {
         "tau": tau,
         "rows": rows,
-        "min_forward_diff": worst,
+        "min_forward_diff": -check["measured"],
         "bishop_gromov": {
             "monotone_ok": bg.monotone_ok,
             "bound_ok": bg.bound_ok,
@@ -278,7 +286,7 @@ def _cmd_monotonicity(args):
         },
     }
     verdicts = [
-        _check("Q-nondecreasing", -worst, 1e-9 * float(np.abs(qs).max())),
+        check,
         _check("warp-comparison-monotone", 0.0, 0.5, ok=bg.monotone_ok),
         _check("warp-below-flat", 0.0, 0.5, ok=bg.bound_ok),
     ]
@@ -294,13 +302,10 @@ def _cmd_eigen_monotonicity(args):
     r_grid = _parse_grid(args.grid)
     tau = _resolve_tau(metric, args.tau, r_grid)
     rows = radial_oracle.sweep_eigen_Q(metric, tau, r_grid)
-    qs = np.array([row["Q"] for row in rows])
-    diffs = np.diff(qs)
-    worst = float(diffs.max()) if diffs.size else 0.0
-    outputs = {"tau": tau, "rows": rows, "max_forward_diff": worst}
-    verdicts = [
-        _check("Q-nonincreasing", worst, 1e-9 * float(np.abs(qs).max())),
-    ]
+    check = _monotone("Q-nonincreasing", [row["Q"] for row in rows], 1e-9,
+                      increasing=False)
+    outputs = {"tau": tau, "rows": rows, "max_forward_diff": check["measured"]}
+    verdicts = [check]
     tables = {"sweep.csv": (("r", "lam", "Q"),
                             [(row["r"], row["lam"], row["Q"]) for row in rows])}
     inputs = {"metric": args.metric, "tau": tau, "grid": args.grid}
@@ -368,17 +373,13 @@ def _cmd_levelsets(args):
     rep = functionals.rigidity(sol)
     rows = functionals.level_set_profile(sol, n_levels=args.levels)
     defect = functionals.level_flux_defect(rows, rep.I_gamma)
-    areas = np.array([row["a"] for row in rows])
-    masses = np.array([row["I"] for row in rows])
     outputs = {"rows": rows, "flux_defect": defect, "I_gamma": rep.I_gamma}
     verdicts = [
         _check("coarea-flux-defect", defect, 2e-2),
-        _check("superlevel-area-nonincreasing",
-               float(np.diff(areas).max()) if areas.size > 1 else 0.0,
-               1e-12 * float(areas.max())),
-        _check("superlevel-mass-nonincreasing",
-               float(np.diff(masses).max()) if masses.size > 1 else 0.0,
-               1e-12 * float(masses.max())),
+        _monotone("superlevel-area-nonincreasing", [row["a"] for row in rows],
+                  1e-12, increasing=False),
+        _monotone("superlevel-mass-nonincreasing", [row["I"] for row in rows],
+                  1e-12, increasing=False),
     ]
     tables = {"levels.csv": (("t", "a", "I", "flux"),
                              [(row["t"], row["a"], row["I"], row["flux"])
@@ -590,9 +591,7 @@ def _c10_monotonicity(bench):
     cone = geometry.cone_metric(beta, eps=0.02)
     rows = radial_oracle.sweep_Q(cone, 0.0, cone.tau, grid)
     qs = np.array([row["Q"] for row in rows])
-    diffs = np.diff(qs)
-    checks.append(_check("cone-Q-nondecreasing", -float(diffs.min()),
-                         1e-9 * float(qs.max())))
+    checks.append(_monotone("cone-Q-nondecreasing", qs, 1e-9))
     power = 4.0 * (1.0 - beta) / (1.0 - 0.0)
     predicted = (grid / grid[0]) ** power
     dev = np.abs(qs / qs[0] - predicted) / predicted
@@ -618,10 +617,8 @@ def _c11_eigen_monotonicity(bench):
     cone = geometry.cone_metric(0.5, eps=0.02)
     rows = radial_oracle.sweep_eigen_Q(cone, cone.tau,
                                        np.array([0.5, 1.0, 2.0, 3.0]))
-    qs = np.array([row["Q"] for row in rows])
-    diffs = np.diff(qs)
-    checks.append(_check("cone-eigen-Q-nonincreasing", float(diffs.max()),
-                         1e-9 * float(qs.max())))
+    checks.append(_monotone("cone-eigen-Q-nonincreasing",
+                            [row["Q"] for row in rows], 1e-9, increasing=False))
     return _criterion(11, "radial monotonicity of the normalized eigenvalue",
                       checks)
 
@@ -715,43 +712,30 @@ def _cmd_acceptance(args):
 # ---------------------------------------------------------------------------
 
 
-def _coerce(text: str, current):
-    if isinstance(current, bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot read {text!r} as a flag")
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    return text
-
-
-def _apply_params(args):
-    """Override defaults from a key=value file named by --params."""
-    if not getattr(args, "params", None):
-        return
-    with open(args.params, "r", encoding="utf-8") as fh:
+def _params_argv(path: str, options) -> list:
+    """The key=value lines of a --params file as option tokens, in file
+    order.  ``options`` is the subcommand's option table.  A flag option
+    reads 1/true/yes/on as present and 0/false/no/off as absent."""
+    tokens = []
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{args.params}:{lineno}: expected key=value")
+                raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ValueError(f"{args.params}:{lineno}: unknown parameter {key!r}")
-            current = getattr(args, attr)
-            if current is None:
-                try:
-                    setattr(args, attr, float(value))
-                except ValueError:
-                    setattr(args, attr, value)
-            else:
-                setattr(args, attr, _coerce(value, current))
+            flag = key.replace("_", "-")
+            if flag not in options:
+                raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
+            if _OPTIONS[flag].get("action") != "store_true":
+                tokens.append(f"--{flag}={value}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                tokens.append(f"--{flag}")
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise ValueError(f"{path}:{lineno}: cannot read {value!r} "
+                                 f"as a flag")
+    return tokens
 
 
 def _write_csv(path: str, header, rows):
@@ -766,20 +750,18 @@ def _write_csv(path: str, header, rows):
 def _emit(args, payload, tables, files):
     text = json.dumps(_py(payload), indent=2, sort_keys=True)
     print(text)
-    out = getattr(args, "out", None)
-    if not out:
+    if not args.out:
         return
-    os.makedirs(out, exist_ok=True)
-    fmt = getattr(args, "format", "json")
-    if fmt in ("json", "both"):
-        with open(os.path.join(out, f"{args.command}.json"), "w",
+    os.makedirs(args.out, exist_ok=True)
+    if args.format in ("json", "both"):
+        with open(os.path.join(args.out, f"{args.command}.json"), "w",
                   encoding="utf-8") as fh:
             fh.write(text + "\n")
-    if fmt in ("csv", "both"):
+    if args.format in ("csv", "both"):
         for name, (header, rows) in tables.items():
-            _write_csv(os.path.join(out, name), header, rows)
+            _write_csv(os.path.join(args.out, name), header, rows)
     for name, content in files.items():
-        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             fh.write(content)
 
 
@@ -811,7 +793,8 @@ _OPTIONS = {
     "out": {"help": "directory for report and table files"},
     "format": {"choices": ("json", "csv", "both"),
                "help": "what to write under --out (stdout is always JSON)"},
-    "params": {"help": "key=value file overriding the defaults above"},
+    "params": {"help": "key=value file of defaults; options given on the "
+                       "command line win"},
 }
 
 # Option groups shared by several subcommands: flag -> default.
@@ -853,6 +836,8 @@ _SUBCOMMANDS = (
 )
 
 _COMMANDS = {name: handler for name, _, _, handler in _SUBCOMMANDS}
+_OPTION_TABLES = {name: {**options, **_COMMON}
+                  for name, _, options, _ in _SUBCOMMANDS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -862,28 +847,36 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on flat, conic, and conformally mapped domains.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="experiment")
-    for name, help_text, options, _ in _SUBCOMMANDS:
+    for name, help_text, _, _ in _SUBCOMMANDS:
         sp = sub.add_parser(name, help=help_text)
-        for flag, default in {**options, **_COMMON}.items():
+        for flag, default in _OPTION_TABLES[name].items():
             sp.add_argument(f"--{flag}", default=default, **_OPTIONS[flag])
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv with the --params file's options ahead of the command
+    line's own, so that those win and file values are checked like them."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.params:
+        at = argv.index(args.command) + 1
+        tokens = _params_argv(args.params, _OPTION_TABLES[args.command])
+        args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
     # argparse (Python 3.11) reads "--flag=--" as an empty list
     empty = [flag for flag, value in vars(args).items() if value == []]
     if empty:
-        print(f"error: --{empty[0].replace('_', '-')} needs a value",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "format", "json") in ("csv", "both") and not args.out:
-        print("error: --format csv/both requires --out", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--{empty[0].replace('_', '-')} needs a value")
+    if args.format in ("csv", "both") and not args.out:
+        raise ValueError("--format csv/both requires --out")
+    return args
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     started = time.perf_counter()
     try:
-        _apply_params(args)
+        args = _parse(argv)
         payload, tables, files = _COMMANDS[args.command](args)
         _emit(args, payload, tables, files)
     except (ConvergenceError, OracleError, DeformationError) as exc:

@@ -73,14 +73,16 @@ def boundary_length(mesh, weight=None) -> float:
     return float(np.sum(lengths * np.sqrt(w_b)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rigidity(solution) -> RigidityReport:
     """All rigidity functionals of a torsion solution in one sweep.
 
     An identically zero field short-circuits to an all-zero report rather
     than reporting the area as the gamma = 0 moment.  Raises
-    ConvergenceError, as ``cg_solve`` does for a value out of float64
-    range, when u is nonzero but either form of T underflows float64, as
-    on a tiny domain, where T scales as r^(4/(1-gamma)).
+    ConvergenceError, as ``solve_torsion`` does for a u out of float64
+    range, when u is nonzero but either form of T lies outside the normal
+    float64 range [tiny, inf), as on a tiny or a huge domain, where T
+    scales as r^(4/(1-gamma)); an overflow prints no numpy warning.
     """
     mesh, u, gamma = solution.mesh, solution.u, solution.gamma
     if float(np.abs(u).max()) == 0.0:
@@ -92,9 +94,9 @@ def rigidity(solution) -> RigidityReport:
     u_mid = np.maximum(midpoint_values(mesh, u), 0.0)
     T_power = integrate_midpoint(mesh, u_mid ** (1.0 + gamma), solution.w_mid)
     I_gamma = integrate_midpoint(mesh, u_mid ** gamma, solution.w_mid)
-    if min(T_grad, T_power) < np.finfo(float).tiny:
+    if not all(np.finfo(float).tiny <= T < np.inf for T in (T_grad, T_power)):
         raise ConvergenceError(
-            f"rigidity underflows float64: T_grad = {T_grad:.3e}, "
+            f"rigidity leaves the float64 range: T_grad = {T_grad:.3e}, "
             f"T_power = {T_power:.3e} from a nonzero u")
 
     dn, lengths = boundary_normal_derivative(mesh, u)

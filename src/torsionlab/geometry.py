@@ -43,6 +43,15 @@ def tau_value(tau) -> float:
     return value
 
 
+def check_gamma(gamma) -> float:
+    """The exponent gamma as a float; raises ValueError unless it lies in
+    [0, 1).  NaN fails, since it lies in no interval."""
+    gamma = float(gamma)
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    return gamma
+
+
 def flat_tau() -> float:
     return TAU_FLAT
 

@@ -20,21 +20,14 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DomainError, OracleError
-from .geometry import (RadialMetric, check_radius, circle_length, disk_area,
-                       flat_metric, tau_value)
+from .geometry import (RadialMetric, check_gamma, check_radius, circle_length,
+                       disk_area, flat_metric, tau_value)
 
 _RTOL = 1e-12
 _START_FRAC = 1e-6  # series start at r0 = frac * R
 _BRACKET_CAP = 200
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 FLAT_DISK_EIGENVALUE = 5.783185962946785  # square of the first zero of J0
-
-
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return gamma
 
 
 def _integrate_torsion(metric, gamma, radius, alpha, r0, augmented):
@@ -133,7 +126,7 @@ def shoot_torsion(metric: RadialMetric, gamma: float, radius: float,
     alpha in the returned profile.
     """
     radius = float(check_radius(metric, radius))
-    gamma = _check_gamma(gamma)
+    gamma = check_gamma(gamma)
     r0 = _START_FRAC * radius
 
     def end_value(alpha):
@@ -187,7 +180,7 @@ def _flat_unit_disk_torsion(gamma: float) -> float:
 
 def flat_disk_torsion(gamma: float, radius: float) -> float:
     """T of the flat disk B_radius via the homogeneity T(r B) = r^(4/(1-gamma)) T(B)."""
-    gamma = _check_gamma(gamma)
+    gamma = check_gamma(gamma)
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     return float(radius) ** (4.0 / (1.0 - gamma)) * _flat_unit_disk_torsion(gamma)
@@ -308,7 +301,7 @@ def sweep_Q(metric: RadialMetric, gamma: float, tau, r_grid) -> list:
     curvature is nonnegative and tau is the true isoperimetric constant.
     """
     tau_v = tau_value(tau)
-    gamma = _check_gamma(gamma)
+    gamma = check_gamma(gamma)
     exponent = tau_v / (np.pi * (1.0 - gamma))
     rows = []
     for r in np.asarray(r_grid, dtype=float):

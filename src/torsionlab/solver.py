@@ -23,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError
+from .geometry import check_gamma
 
 _MIDPOINT_PAIRS = ((1, 2), (2, 0), (0, 1))  # midpoint q sits opposite vertex q
 
@@ -265,37 +266,42 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
     identity when None, which is plain CG).  The stopping test is always
     the float64 relative residual ||b - A x|| / ||b|| <= tol, whatever the
     precision of the preconditioner.  Deterministic and warm-startable;
-    returns (x, iterations).  Raises ConvergenceError with the residual
-    history if the cap is hit, and without one if ||b|| of a nonzero b is
-    not a finite normal float64.  Overflow raises no numpy warning.
+    returns (x, iterations).  b and x0 are scaled by the power of two that
+    brings max|b| into [0.5, 1), and x back: that is exact, so in-range
+    solves are bit-identical to unscaled ones, and a tiny or huge b keeps
+    the loop and a float32 ``precond`` in range; the caller checks the
+    range of x.  Raises ConvergenceError with the residual history if the
+    cap is hit, and without one if b is not finite.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
     if not b.any():
         return np.zeros(n), 0
-    bnorm = float(np.linalg.norm(b))
-    if not np.finfo(float).tiny <= bnorm < np.inf:
+    top = np.abs(b).max()
+    if not np.isfinite(top):
         raise ConvergenceError(
-            f"cg broke down: the nonzero right-hand side has norm {bnorm}, "
-            f"outside the normal float64 range")
+            f"cg broke down: the right-hand side is not finite (max |b| = {top})")
+    k = np.frexp(top)[1]
+    b = np.ldexp(b, -k)
+    bnorm = float(np.linalg.norm(b))
     if max_iter is None:
         max_iter = max(10 * n, 50)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -k)
     r = b - A @ x
     z = r if precond is None else precond(r)
     p = z.copy()
     rz = float(r @ z)
     history = []
-    for k in range(max_iter):
+    for it in range(max_iter):
         rel = np.sqrt(float(r @ r)) / bnorm
         history.append(rel)
         if rel <= tol:
-            return x, k
+            return np.ldexp(x, k), it
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp == 0.0 or not np.isfinite(pAp):
             raise ConvergenceError(
-                f"cg broke down at iteration {k}: p.Ap = {pAp}", history=history)
+                f"cg broke down at iteration {it}: p.Ap = {pAp}", history=history)
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -313,13 +319,13 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
 def _factor(K):
     """Single-precision sparse LU of the SPD matrix K, as a preconditioner.
 
-    Returns r -> K^{-1} r, solved in float32 and returned in float64, with
-    r scaled by a power of two into float32 range for the solve.  On
-    the 256 x 256 square a float64 factor costs ~55 MB against ~34 MB, and
-    its direct solve still leaves a relative residual of ~1.6e-12, above
-    the 1e-12 that :func:`solve_torsion` asks of each linear solve, so it
-    would need the CG correction all the same.  SuperLU runs single-threaded,
-    so the result is deterministic.
+    Returns r -> K^{-1} r, solved in float32, in range as :func:`cg_solve`
+    scales b into [0.5, 1), and returned in float64.  On the 256 x 256
+    square a float64 factor costs ~55 MB against ~34 MB, and its direct
+    solve still leaves a relative residual of ~1.6e-12, above the 1e-12
+    that :func:`solve_torsion` asks of each linear solve, so it would need
+    the CG correction all the same.  SuperLU runs single-threaded, so the
+    result is deterministic.
     """
     # K is symmetric, so its CSR arrays are also those of K in CSC format;
     # canonical, so that splu leaves the shared index arrays as they are
@@ -330,15 +336,7 @@ def _factor(K):
                    options={"SymmetricMode": True})
 
     def solve(r):
-        # r is scaled by 2^-k into [0.5, 1) before the cast, so a tiny r does
-        # not underflow to zero; a power of two is exact, so a solve that
-        # needed no scaling is bit-identical to the unscaled one
-        top = np.abs(r).max()
-        if top == 0.0 or not np.isfinite(top):
-            return lu.solve(r.astype(np.float32)).astype(np.float64)
-        k = np.frexp(top)[1]
-        x = lu.solve(np.ldexp(r, -k).astype(np.float32))
-        return np.ldexp(x.astype(np.float64), k)
+        return lu.solve(r.astype(np.float32)).astype(np.float64)
 
     return solve
 
@@ -382,13 +380,6 @@ class Solution:
         return self.residuals[-1] if self.residuals else 0.0
 
 
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return gamma
-
-
 def _check_stopping(tol, max_iter):
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -414,9 +405,11 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     ``weight`` is None or a callable e^{2 phi}, sampled at the vertices by
     :func:`nodal_weight`.  Raises ValueError for gamma outside [0, 1), a
     nonpositive tol, max_iter below 1, an invalid weight or a mesh without
-    interior vertices.
+    interior vertices, and ConvergenceError if Newton stalls or u leaves
+    float64 range, overflowing into a non-finite right-hand side for
+    :func:`cg_solve` or underflowing to zero, without a numpy warning.
     """
-    gamma = _check_gamma(gamma)
+    gamma = check_gamma(gamma)
     _check_stopping(tol, max_iter)
     op = assemble_stiffness(mesh)
     K, interior = op.K, op.interior
@@ -425,37 +418,45 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     if precond is None:
         precond = _factor(K)
 
-    u = np.zeros(len(mesh.vertices))
-    if initial is None:
-        # s u0, u0 the gamma = 0 solve, s = max(1, max u0)^(gamma/(1-gamma)),
-        # is a supersolution, K (s u0) = s F(1) >= F(s u0), from which Newton
-        # on this convex problem descends monotonically to the positive one
-        u[interior], _ = cg_solve(K, F0, tol=1e-12, precond=precond)
-        if gamma == 0.0:
-            res = float(np.linalg.norm(F0 - K @ u[interior])
-                        / np.linalg.norm(F0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.zeros(len(mesh.vertices))
+        if initial is None:
+            # s u0 is a supersolution, u0 the gamma = 0 solve and
+            # s = max(1, max u0)^(gamma/(1-gamma)), as K (s u0) = s F(1)
+            # >= F(s u0); from it Newton on this convex problem descends
+            # monotonically to the positive one
+            u[interior], _ = cg_solve(K, F0, tol=1e-12, precond=precond)
+            if gamma == 0.0:
+                res = float(np.linalg.norm(F0 - K @ u[interior])
+                            / np.linalg.norm(F0))
+                if res <= tol:
+                    return _torsion_solution(mesh, u, w, [res], gamma)
+            u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
+        else:
+            u[interior] = np.asarray(initial, dtype=float)[interior]
+        residuals = []
+        for it in range(1, max_iter + 1):
+            # at gamma = 0 the problem is linear: J = K and F = F0
+            F, J = (F0, K) if gamma == 0.0 else op.newton(w, u, gamma)
+            d, _ = cg_solve(J, F - K @ u[interior], tol=1e-12,
+                            precond=precond)
+            u[interior] += d
+            res = float(np.abs(d).max() / max(np.abs(u).max(), 1e-300))
+            residuals.append(res)
             if res <= tol:
-                return Solution(mesh=mesh, u=u, weight=w, iterations=1,
-                                residuals=(res,), gamma=gamma)
-        u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
-    else:
-        u[interior] = np.asarray(initial, dtype=float)[interior]
-    residuals = []
-    for it in range(1, max_iter + 1):
-        # at gamma = 0 the problem is linear: J = K and F = F0
-        F, J = (F0, K) if gamma == 0.0 else op.newton(w, u, gamma)
-        d, _ = cg_solve(J, F - K @ u[interior], tol=1e-12, precond=precond)
-        u[interior] += d
-        res = float(np.abs(d).max() / max(np.abs(u).max(), 1e-300))
-        residuals.append(res)
-        if res <= tol:
-            return Solution(mesh=mesh, u=u, weight=w, iterations=it,
-                            residuals=tuple(residuals), gamma=gamma)
+                return _torsion_solution(mesh, u, w, residuals, gamma)
     raise ConvergenceError(
         f"newton iteration stalled at increment {residuals[-1]:.3e} "
         f"after {max_iter} iterations (gamma={gamma})",
         history=residuals,
     )
+
+
+def _torsion_solution(mesh, u, w, residuals, gamma) -> Solution:
+    if not u.any():  # the load is positive, so u has underflowed
+        raise ConvergenceError("the torsion solution underflows float64 to zero")
+    return Solution(mesh=mesh, u=u, weight=w, iterations=len(residuals),
+                    residuals=tuple(residuals), gamma=gamma)
 
 
 def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,

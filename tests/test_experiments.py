@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionlab import experiments, geometry
 
@@ -171,6 +173,70 @@ def test_params_file_overrides(tmp_path):
     assert inputs["max_iter"] == 150
 
 
+def _params_run(tmp_path, capsys, text, *argv):
+    """Exit code, payload inputs (None unless one was printed) and stderr
+    lines of an in-process run with ``text`` as its --params file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    try:
+        code = experiments.main([*argv, "--params", str(cfg)])
+    except SystemExit as exc:  # argparse rejected a value
+        code = exc.code
+    out, err = capsys.readouterr()
+    inputs = json.loads(out)["inputs"] if out else None
+    return code, inputs, [l for l in err.splitlines() if not l.startswith("#")]
+
+
+def test_params_file_supplies_defaults_only(tmp_path, capsys):
+    # the file's values go ahead of the command line's options, which win
+    code, inputs, _ = _params_run(tmp_path, capsys, "gamma=0.3\n",
+                                  "solve", "--mesh", "disk:1:8", "--gamma",
+                                  "0.6")
+    assert code == 0 and inputs["gamma"] == 0.6
+    code, inputs, _ = _params_run(tmp_path, capsys, "gamma=0.3\n", "solve",
+                                  "--mesh", "disk:1:8")
+    assert code == 0 and inputs["gamma"] == 0.3
+
+
+@pytest.mark.parametrize("text, argv, expected", [
+    # each typed as its option: float, int, string, a None default
+    ("gamma=0.5\n", ("solve",), {"gamma": 0.5}),
+    ("max-iter=7\n", ("solve",), {"max_iter": 7}),
+    ("grid=0.5,2\n", ("monotonicity", "--metric", "flat"), {"grid": "0.5,2"}),
+    ("tau=2.5\n", ("isoperimetry",), {"tau": 2.5}),
+    # a flag is present for 1/true/yes/on and absent for 0/false/no/off
+    ("eigen=yes\n", ("variation",), {"eigen": True, "gamma": None}),
+    ("eigen=ON\n", ("variation",), {"eigen": True, "gamma": None}),
+    ("eigen=off\n", ("variation",), {"eigen": False, "gamma": 0.3}),
+    ("eigen=0\n", ("variation",), {"eigen": False, "gamma": 0.3}),
+])
+def test_params_values_typed_like_options(tmp_path, capsys, text, argv,
+                                          expected):
+    mesh = () if argv[0] == "monotonicity" else ("--mesh", "disk:1:8")
+    code, inputs, _ = _params_run(tmp_path, capsys, text, *argv, *mesh)
+    assert code in (0, 1)
+    assert {key: inputs[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("format=xml\n", ("solve",), "invalid choice: 'xml'"),
+    ("format=csv\n", ("solve",), "error: --format csv/both requires --out"),
+    ("levels=1e3\n", ("levelsets",), "invalid int value: '1e3'"),
+    ("gamma=abc\n", ("solve",), "invalid float value: 'abc'"),
+    ("mesh=--\n", ("solve",), "error: --mesh needs a value"),
+    ("eigen=maybe\n", ("variation",), "run.cfg:1: cannot read 'maybe' as a flag"),
+    ("\n# a comment\ndamping=0.5\n", ("solve",),
+     "run.cfg:3: unknown parameter 'damping'"),
+    ("gamma 0.3\n", ("solve",), "run.cfg:1: expected key=value"),
+])
+def test_bad_params_exit_2(tmp_path, capsys, text, argv, message):
+    # a file value is checked as the same option on the command line is;
+    # format=xml and format=csv without --out exited 0 without a report
+    code, inputs, err = _params_run(tmp_path, capsys, text, *argv)
+    assert code == experiments.EXIT_USAGE
+    assert inputs is None and message in err[-1]
+
+
 def test_help_and_unknown_command():
     assert run_cli("-h").returncode == 0
     assert run_cli("frobnicate").returncode == 2
@@ -195,23 +261,48 @@ def test_parse_grid():
     np.testing.assert_allclose(experiments._parse_grid("0:1:3"), [0, 0.5, 1])
     np.testing.assert_allclose(experiments._parse_grid("0.5,2"), [0.5, 2])
     with pytest.raises(ValueError):
-        experiments._parse_grid("0:1:1")
-    with pytest.raises(ValueError):
         experiments._parse_grid("0:1:2:5")
+    for one in ("0.5", "0.5,", "0:1:1"):
+        with pytest.raises(ValueError, match="at least two points"):
+            experiments._parse_grid(one)
     for bad in ("0.5:inf:4", "nan:1:3", "0.5,nan", "inf,inf,2"):
         with pytest.raises(ValueError, match="finite"):
             experiments._parse_grid(bad)
 
 
-def test_coerce():
-    assert experiments._coerce("0.5", 1.0) == 0.5
-    assert experiments._coerce("7", 3) == 7
-    assert experiments._coerce("yes", False) is True
-    assert experiments._coerce("off", True) is False
-    with pytest.raises(ValueError):
-        experiments._coerce("maybe", True)
-    # knobs with no typed default stay strings; consumers parse them
-    assert experiments._coerce("2.5", None) == "2.5"
+@pytest.mark.parametrize("argv", [
+    ("monotonicity", "--metric", "flat"),
+    ("eigen-monotonicity", "--metric", "flat"),
+    ("schwarz", "--map", "linear:2", "--n-rings", "4"),
+])
+def test_one_point_grid_exits_2(argv, capsys):
+    # no step, so no monotone verdict: exit 2 as for a one-point linspace
+    assert experiments.main([*argv, "--grid", "0.5"]) == experiments.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: grid needs at least two points\n"
+
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, min_size=2, max_size=12), st.booleans())
+def test_monotone_check_is_the_old_formula(values, nonnegative):
+    # the six np.diff blocks that _monotone replaced, bit for bit; the
+    # superlevel and cone checks took max(v) for max|v|, which is the same
+    # on their nonnegative sequences
+    q = np.abs(values) if nonnegative else np.array(values)
+    scale = float(q.max()) if nonnegative else float(np.abs(q).max())
+    old = {
+        True: (-float(np.diff(q).min()), 1e-9 * scale),
+        False: (float(np.diff(q).max()), 1e-9 * scale),
+    }
+    for increasing, (measured, tolerance) in old.items():
+        check = experiments._monotone("q", q, 1e-9, increasing=increasing)
+        assert (np.float64(check["measured"]).tobytes()
+                == np.float64(measured).tobytes())
+        assert check["tolerance"] == tolerance
+        assert check["pass"] == (measured <= tolerance)
 
 
 def test_resolve_tau():
@@ -362,3 +453,27 @@ def test_huge_coordinates_exit_2_without_warnings(spec):
     assert res.returncode == experiments.EXIT_USAGE
     assert res.stdout == ""
     assert res.stderr == "error: mesh coordinates too large\n"
+
+
+@pytest.mark.parametrize("radius", ["1e-150", "1e-100", "1e-78", "1e-50",
+                                    "1e-20", "1e-10", "1e-7", "1e-3", "1",
+                                    "1e3", "1e10", "1e30", "1e50", "1e77",
+                                    "1e100", "1e150"])
+def test_disk_scale_sweep_solves_or_exits_3_in_one_line(radius, capsys):
+    # T scales as R^(4/(1-gamma)): a T in the normal float64 range is
+    # reported, any other ends in exit 3 with one line.  disk:1e-7:5 at
+    # gamma 0.9 (T ~ 4.5e-295) exited 3 when CG's dot products underflowed,
+    # and R >= 1e30 at gamma 0.9 printed numpy overflow warnings
+    for gamma in ("0", "0.3", "0.5", "0.9"):
+        code = experiments.main(["solve", "--mesh", f"disk:{radius}:5",
+                                 "--gamma", gamma])
+        out, err = capsys.readouterr()
+        if code == experiments.EXIT_PASS:
+            T = json.loads(out)["outputs"]["T_grad"]
+            assert np.finfo(float).tiny <= T < np.inf
+        else:
+            assert code == experiments.EXIT_NUMERICAL
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1
+    if radius == "1e-7":
+        assert code == experiments.EXIT_PASS

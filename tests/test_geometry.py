@@ -136,3 +136,15 @@ def test_radius_check_rejects_nan():
                 fn(flat, bad)
     with pytest.raises(DomainError):
         tl.bishop_gromov_check(flat, [0.5, math.nan])
+
+
+def test_check_gamma():
+    # one check for the FEM solver and the radial oracle alike
+    assert geometry.check_gamma(0) == 0.0 and geometry.check_gamma("0.5") == 0.5
+    for bad in (1.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+            geometry.check_gamma(bad)
+    for solve in (lambda g: tl.solve_torsion(tl.mesh_from_spec("disk:1:4"), g),
+                  lambda g: tl.shoot_torsion(geometry.flat_metric(), g, 1.0)):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+            solve(1.0)

@@ -367,18 +367,26 @@ def test_factor_preconditioned_cg():
     assert np.abs(x - x_plain).max() <= 1e-10 * np.abs(x_plain).max()
 
 
-def test_factor_scales_tiny_right_hand_sides():
-    # the right-hand side is scaled by a power of two into float32 range, so
-    # a scaled r gives the exactly scaled solve, and a tiny one is not zero
+def test_cg_scales_the_right_hand_side_exactly():
+    # cg_solve scales b by a power of two into [0.5, 1) and the result back,
+    # so a scaled b gives the exactly scaled solve, through the float32
+    # factor too, and a tiny or huge b neither underflows nor overflows
     m = tl.mesh_from_spec("rect:1:1:16:16")
     K = solver.assemble_stiffness(m).K
     precond = solver._factor(K)
-    r = np.random.default_rng(5).uniform(-1.0, 1.0, K.shape[0])
-    x = precond(r)
-    assert np.abs(K @ x - r).max() <= 1e-5 * np.abs(r).max()
-    for k in (-40, -140, -1000, 100, 900):
-        assert np.array_equal(precond(np.ldexp(r, k)), np.ldexp(x, k))
-    assert not precond(np.zeros_like(r)).any()
+    b = np.random.default_rng(5).uniform(-1.0, 1.0, K.shape[0])
+    x, iters = solver.cg_solve(K, b, precond=precond)
+    assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+    for k in range(-1000, 901):
+        xk, iters_k = solver.cg_solve(K, np.ldexp(b, k), precond=precond)
+        assert iters_k == iters and np.array_equal(xk, np.ldexp(x, k))
+
+
+def test_underflowed_torsion_solution_raises(disk40):
+    # a weight this small makes the load, and so u, underflow to zero
+    with pytest.raises(ConvergenceError, match="underflows"):
+        solver.solve_torsion(disk40, 0.3,
+                             weight=lambda p: np.full(len(p), 5e-324))
 
 
 def test_preconditioned_cg_raises_on_iteration_starvation():
