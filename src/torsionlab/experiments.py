@@ -345,18 +345,18 @@ def _cmd_scaling(args):
     radii = [float(v) for v in args.radii.split(",") if v.strip()]
     if not radii:
         raise ValueError("need at least one radius")
-    base = radial_oracle.shoot_torsion(metric, args.gamma, args.base_radius)
+    t_base, *ts = [row["T"] for row in radial_oracle.sweep_Q(
+        metric, args.gamma, metric.tau, [args.base_radius, *radii])]
     power = 4.0 / (1.0 - args.gamma)
     rows, worst = [], 0.0
-    for r in radii:
-        prof = radial_oracle.shoot_torsion(metric, args.gamma, r)
+    for r, T in zip(radii, ts):
         predicted = (r / args.base_radius) ** power
-        measured = prof.torsion / base.torsion
+        measured = T / t_base
         err = _rel(measured, predicted)
         worst = max(worst, err)
-        rows.append({"r": r, "T": prof.torsion, "ratio": measured,
+        rows.append({"r": r, "T": T, "ratio": measured,
                      "predicted": predicted, "rel_err": err})
-    outputs = {"base_radius": args.base_radius, "T_base": base.torsion,
+    outputs = {"base_radius": args.base_radius, "T_base": t_base,
                "power": power, "rows": rows, "worst_rel_err": worst}
     verdicts = [_check("scaling-law", worst, 1e-6)]
     tables = {"sweep.csv": (("r", "T", "ratio", "predicted", "rel_err"),
@@ -567,11 +567,11 @@ def _c09_scaling(bench):
     flat = geometry.flat_metric()
     checks = []
     for g in _GAMMAS:
-        base = radial_oracle.shoot_torsion(flat, g, 1.0)
+        t_base, *ts = [row["T"] for row in radial_oracle.sweep_Q(
+            flat, g, flat.tau, [1.0, 0.5, 2.0])]
         power = 4.0 / (1.0 - g)
-        for r in (0.5, 2.0):
-            prof = radial_oracle.shoot_torsion(flat, g, r)
-            err = _rel(prof.torsion / base.torsion, r**power)
+        for r, T in zip((0.5, 2.0), ts):
+            err = _rel(T / t_base, r**power)
             checks.append(_check(f"scaling-gamma-{g:g}-r-{r:g}", err, 1e-6))
     return _criterion(9, "torsion scales with the dilation power", checks)
 
@@ -715,26 +715,43 @@ def _cmd_acceptance(args):
 def _params_argv(path: str, options) -> list:
     """The key=value lines of a --params file as option tokens, in file
     order.  ``options`` is the subcommand's option table.  A flag option
-    reads 1/true/yes/on as present and 0/false/no/off as absent."""
+    reads 1/true/yes/on as present and 0/false/no/off as absent.  A value
+    is checked against its option's type and choices here, so that a bad
+    one is reported at its line of the file."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ValueError(f"{where}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             flag = key.replace("_", "-")
             if flag not in options:
-                raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
-            if _OPTIONS[flag].get("action") != "store_true":
-                tokens.append(f"--{flag}={value}")
-            elif value.lower() in ("1", "true", "yes", "on"):
-                tokens.append(f"--{flag}")
-            elif value.lower() not in ("0", "false", "no", "off"):
-                raise ValueError(f"{path}:{lineno}: cannot read {value!r} "
-                                 f"as a flag")
+                raise ValueError(f"{where}: unknown parameter {key!r}")
+            spec = _OPTIONS[flag]
+            if spec.get("action") == "store_true":
+                if value.lower() in ("1", "true", "yes", "on"):
+                    tokens.append(f"--{flag}")
+                elif value.lower() not in ("0", "false", "no", "off"):
+                    raise ValueError(f"{where}: cannot read {value!r} as a flag")
+                continue
+            # argparse (Python 3.11) reads "--flag=--" as an empty list
+            if value in ("", "--"):
+                raise ValueError(f"{where}: {key} needs a value")
+            convert = spec.get("type", str)
+            try:
+                convert(value)
+            except ValueError:
+                raise ValueError(f"{where}: {key}: invalid {convert.__name__} "
+                                 f"value: {value!r}") from None
+            choices = spec.get("choices")
+            if choices and value not in choices:
+                raise ValueError(f"{where}: {key}: invalid choice: {value!r} "
+                                 f"(choose from {', '.join(choices)})")
+            tokens.append(f"--{flag}={value}")
     return tokens
 
 

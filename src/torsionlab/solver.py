@@ -407,7 +407,8 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     nonpositive tol, max_iter below 1, an invalid weight or a mesh without
     interior vertices, and ConvergenceError if Newton stalls or u leaves
     float64 range, overflowing into a non-finite right-hand side for
-    :func:`cg_solve` or underflowing to zero, without a numpy warning.
+    :func:`cg_solve` or underflowing below the smallest normal float64,
+    without a numpy warning.
     """
     gamma = check_gamma(gamma)
     _check_stopping(tol, max_iter)
@@ -441,7 +442,7 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
             d, _ = cg_solve(J, F - K @ u[interior], tol=1e-12,
                             precond=precond)
             u[interior] += d
-            res = float(np.abs(d).max() / max(np.abs(u).max(), 1e-300))
+            res = float(np.abs(d).max() / _checked_max(u))
             residuals.append(res)
             if res <= tol:
                 return _torsion_solution(mesh, u, w, residuals, gamma)
@@ -452,9 +453,18 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     )
 
 
+def _checked_max(u):
+    """max|u|; raises ConvergenceError below float64's smallest normal
+    number, where u has lost its digits to underflow (the load is positive,
+    so the true u is not zero)."""
+    u_max = np.abs(u).max()
+    if u_max < np.finfo(float).tiny:
+        raise ConvergenceError("the torsion solution underflows float64")
+    return u_max
+
+
 def _torsion_solution(mesh, u, w, residuals, gamma) -> Solution:
-    if not u.any():  # the load is positive, so u has underflowed
-        raise ConvergenceError("the torsion solution underflows float64 to zero")
+    _checked_max(u)
     return Solution(mesh=mesh, u=u, weight=w, iterations=len(residuals),
                     residuals=tuple(residuals), gamma=gamma)
 

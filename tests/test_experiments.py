@@ -223,7 +223,7 @@ def test_params_values_typed_like_options(tmp_path, capsys, text, argv,
     ("format=csv\n", ("solve",), "error: --format csv/both requires --out"),
     ("levels=1e3\n", ("levelsets",), "invalid int value: '1e3'"),
     ("gamma=abc\n", ("solve",), "invalid float value: 'abc'"),
-    ("mesh=--\n", ("solve",), "error: --mesh needs a value"),
+    ("mesh=--\n", ("solve",), "run.cfg:1: mesh needs a value"),
     ("eigen=maybe\n", ("variation",), "run.cfg:1: cannot read 'maybe' as a flag"),
     ("\n# a comment\ndamping=0.5\n", ("solve",),
      "run.cfg:3: unknown parameter 'damping'"),
@@ -231,10 +231,16 @@ def test_params_values_typed_like_options(tmp_path, capsys, text, argv,
 ])
 def test_bad_params_exit_2(tmp_path, capsys, text, argv, message):
     # a file value is checked as the same option on the command line is;
-    # format=xml and format=csv without --out exited 0 without a report
+    # format=xml and format=csv without --out exited 0 without a report.
+    # A bad value in the file is reported in one line at its file:line,
+    # without argparse's usage block naming an option nobody typed
     code, inputs, err = _params_run(tmp_path, capsys, text, *argv)
     assert code == experiments.EXIT_USAGE
-    assert inputs is None and message in err[-1]
+    assert inputs is None and err == [err[-1]] and message in err[-1]
+    if "csv" not in text:  # format=csv is a good value, without --out
+        assert err[-1].startswith(f"error: {tmp_path / 'run.cfg'}:")
+    if "invalid" in message or "needs a value" in message:
+        assert f":1: {text.split('=')[0]}" in err[-1]
 
 
 def test_help_and_unknown_command():

@@ -389,6 +389,18 @@ def test_underflowed_torsion_solution_raises(disk40):
                              weight=lambda p: np.full(len(p), 5e-324))
 
 
+def test_subnormal_torsion_solution_raises():
+    # the true u is ~w^(1/(1-gamma)) ~ 1e-429 here; Newton's increment test
+    # used to pass on a subnormal u (max u = 2e-323 after 2 steps for 1e-300)
+    m = tl.mesh_from_spec("disk:1:8")
+    for w in (1e-300, 1e-310):
+        with pytest.raises(ConvergenceError, match="underflows"):
+            solver.solve_torsion(m, 0.3, weight=lambda p: np.full(len(p), w))
+    # at gamma = 0 the solve is linear and u ~ w / 4 stays normal
+    sol = solver.solve_torsion(m, 0.0, weight=lambda p: np.full(len(p), 1e-300))
+    assert np.abs(sol.u).max() == pytest.approx(2.5e-301, rel=0.1)
+
+
 def test_preconditioned_cg_raises_on_iteration_starvation():
     n = 400
     A = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
