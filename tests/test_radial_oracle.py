@@ -109,6 +109,14 @@ def test_setup_validation(flat):
         tl.shoot_eigen(flat, math.nan)
 
 
+def test_landing_check_raises(flat):
+    # no shot lands within 1e-300 of zero at the rim
+    with pytest.raises(OracleError, match="landed"):
+        tl.shoot_torsion(flat, 0.3, 1.0, tol=1e-300)
+    with pytest.raises(OracleError, match="landed"):
+        tl.shoot_eigen(flat, 1.0, tol=1e-300)
+
+
 def test_sweep_q_flat_constant(flat):
     rows = tl.sweep_Q(flat, 0.3, 4 * math.pi, [0.5, 1.0, 2.0])
     assert [set(row) for row in rows] == [{"r", "T", "Q"}] * 3
@@ -124,7 +132,10 @@ def test_sweep_eigen_q_flat_constant(flat):
     rows = tl.sweep_eigen_Q(flat, 4 * math.pi, [0.5, 1.0, 2.0])
     assert [set(row) for row in rows] == [{"r", "lam", "Q"}] * 3
     q = np.array([row["Q"] for row in rows])
-    assert np.ptp(q) / q[0] < 1e-8
+    # in s = r / R the flat radii are similarity copies, and j_0^2 / R^2
+    # starts each search at the same lam R^2: Q is constant to roundoff,
+    # 1.5e-16 here
+    assert np.ptp(q) / q[0] < 1e-13
     lam = np.array([row["lam"] for row in rows])
     assert np.all(np.diff(lam) < 0.0)
 
@@ -159,6 +170,21 @@ def test_sweep_matches_one_radius_shots(spec, beta, gamma, radii):
         assert row["T"] == pytest.approx(T, rel=1e-11, abs=0.0)
 
 
+@settings(max_examples=12, deadline=None)
+@given(spec=st.sampled_from(["flat", "sphere", "hyperbolic", "cone"]),
+       beta=st.floats(min_value=0.2, max_value=0.9),
+       radii=st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1,
+                      max_size=6, unique=True).map(sorted))
+def test_eigen_sweep_matches_one_radius_shots(spec, beta, radii):
+    # the eigen counterpart of test_sweep_matches_one_radius_shots
+    metric = _METRICS.get(spec) or tl.cone_metric(beta, eps=0.02)
+    rows = tl.sweep_eigen_Q(metric, 4 * math.pi, radii)
+    assert [row["r"] for row in rows] == radii
+    for row in rows:
+        lam = tl.shoot_eigen(metric, row["r"]).lam
+        assert row["lam"] == pytest.approx(lam, rel=1e-11, abs=0.0)
+
+
 def test_long_sweep_in_batches(flat):
     # 70 radii go out as two lockstep shots; at gamma = 0 the flat T is
     # pi R^4 / 8
@@ -185,6 +211,22 @@ def test_sweep_integration_budget(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_eigen_sweep_integration_budget(monkeypatch):
+    # one solve_ivp per search round for all four radii, and one final shot:
+    # 12 integrations, where one-radius shots took 65
+    calls = []
+    ivp = radial_oracle.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ivp(*args, **kwargs)
+
+    monkeypatch.setattr(radial_oracle, "solve_ivp", counted)
+    cone = tl.cone_metric(0.5, eps=0.02)
+    tl.sweep_eigen_Q(cone, cone.tau, np.linspace(0.5, 2.0, 4))
+    assert len(calls) <= 20
+
+
 def _drive(search, fn):
     """Run a root-search generator on ``fn``; returns (root, trial points)."""
     points = [next(search)]
@@ -208,7 +250,7 @@ def test_brent_generator_is_brentq(roots, lo, hi):
     if fn(lo) * fn(hi) >= 0.0:
         return
     seen = []
-    search = radial_oracle._brent(lo, fn(lo), hi, fn(hi))
+    search = radial_oracle._brent(lo, fn(lo), hi, fn(hi), "the root")
     try:
         expected = brentq(lambda x: seen.append(x) or fn(x), lo, hi,
                           xtol=1e-300, rtol=radial_oracle._BRENT_RTOL)
@@ -229,6 +271,30 @@ def test_center_value_brackets_from_the_guess():
                                lambda a: a - root)
         assert found == pytest.approx(root, rel=1e-15)
         assert points[0] == guess
+
+
+@pytest.mark.parametrize("what", ["the torsion center value",
+                                  "the ground eigenvalue"])
+def test_brent_failure_names_its_root(what):
+    # a triple root at 0 is out of reach of xtol = 1e-300
+    search = radial_oracle._brent(-3.0, -27.0, 2.5, 15.625, what)
+    with pytest.raises(OracleError, match=f"did not converge on {what}$"):
+        _drive(search, lambda x: x ** 3)
+
+
+def test_ground_value_shoots_each_trial_once():
+    # zero counts grow with lam as for a Sturm-Liouville ground mode: lo is
+    # halved until zero-free, hi doubled until it has a zero, the bracket
+    # bisected on the zero count and Brent's method run on the end values;
+    # the guess and the bracket ends are not shot again
+    def shot(lam):
+        return int(lam >= root) + int(lam >= 4.0 * root), root - lam
+
+    for guess, root in ((1.0, 0.1), (1.0, 5.0), (1.0, 1.1), (0.3, 0.3)):
+        found, points = _drive(radial_oracle._ground_value(guess), shot)
+        assert found == pytest.approx(root, rel=1e-15)
+        assert points[0] == guess
+        assert len(set(points)) == len(points)
 
 
 def test_center_value_out_of_range_raises(flat):
