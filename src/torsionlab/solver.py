@@ -7,11 +7,14 @@ the edge midpoints, the quadrature points.  That quadrature is exact for
 quadratics and makes every P1 object a sum over the mesh edges: the
 stiffness K, the weighted mass M(w), the load F(w) = M 1 and the Newton
 Jacobian J(u) = K - M_c all come from one :class:`EdgeOperator` per
-solve.  The torsion problem is solved by Newton's method, the ground mode
-by inverse iteration.  Each solve factors K once, in single precision, and
-every linear step runs conjugate gradients preconditioned by that factor
-down to a float64 residual test.  Both loops are deterministic; reruns of
-the same inputs produce bit-identical iterates.
+solve.  The torsion problem is solved by an inexact Newton method, the
+ground mode by inverse iteration.  Each solve factors K once, in single
+precision, and every linear step runs conjugate gradients preconditioned by
+that factor down to a float64 residual test: 1e-12 for a linear solve,
+and for a Newton step the Eisenstat-Walker forcing term, loose while the
+nonlinear residual is large and tight once it falls quadratically.  Both
+loops are deterministic; reruns of the same inputs produce bit-identical
+iterates.
 """
 
 from __future__ import annotations
@@ -323,9 +326,9 @@ def _factor(K):
     scales b into [0.5, 1), and returned in float64.  On the 256 x 256
     square a float64 factor costs ~55 MB against ~34 MB, and its direct
     solve still leaves a relative residual of ~1.6e-12, above the 1e-12
-    that :func:`solve_torsion` asks of each linear solve, so it would need
-    the CG correction all the same.  SuperLU runs single-threaded, so the
-    result is deterministic.
+    that :func:`solve_torsion` asks of its linear solves and of its last
+    Newton steps, so it would need the CG correction all the same.  SuperLU
+    runs single-threaded, so the result is deterministic.
     """
     # K is symmetric, so its CSR arrays are also those of K in CSC format;
     # canonical, so that splu leaves the shared index arrays as they are
@@ -389,26 +392,29 @@ def _check_stopping(tol, max_iter):
 
 def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
                   initial=None, precond=None) -> Solution:
-    """Newton's method for the semilinear torsion problem K u = F(u).
+    """Inexact Newton method for the semilinear torsion problem K u = F(u).
 
     F is the load of the source max(u, 0)^gamma.  Each step solves
-    J d = F(u) - K u by :func:`cg_solve` to a relative residual of 1e-12,
-    until max|d| / max|u| <= tol.  K, F and J all come from the mesh's
+    J d = F(u) - K u by :func:`cg_solve` to the relative residual of
+    :func:`_forcing`, from 0.1 on the first step down to 1e-12 as the
+    residual falls, until max|d| / max|u| <= tol; the start solve and a
+    step at gamma = 0 go to 1e-12.  K, F and J all come from the mesh's
     :class:`EdgeOperator` (see :meth:`EdgeOperator.newton`); J is SPD on
     the positive branch (Brezis-Oswald).  ``precond`` defaults to
     :func:`_factor` of K.
     The start is a supersolution built from the gamma = 0 solve, or a
-    nearby ``initial`` (boundary values forced to zero).  At gamma = 0 the
-    problem is linear and, without ``initial``, that solve is returned as
-    the one step once its equation residual ||F - K u|| / ||F||, which
-    ``residuals`` then holds, is at most tol.
+    nearby finite ``initial`` (boundary values forced to zero) with, at
+    gamma > 0, a positive interior value.  At gamma = 0 the problem is
+    linear and, without ``initial``, that solve is returned as the one step
+    once its equation residual ||F - K u|| / ||F||, which ``residuals``
+    then holds, is at most tol.
     ``weight`` is None or a callable e^{2 phi}, sampled at the vertices by
     :func:`nodal_weight`.  Raises ValueError for gamma outside [0, 1), a
-    nonpositive tol, max_iter below 1, an invalid weight or a mesh without
-    interior vertices, and ConvergenceError if Newton stalls or u leaves
-    float64 range, overflowing into a non-finite right-hand side for
-    :func:`cg_solve` or underflowing below the smallest normal float64,
-    without a numpy warning.
+    nonpositive tol, max_iter below 1, an invalid weight or ``initial``, or
+    a mesh without interior vertices, and ConvergenceError if Newton stalls
+    or u leaves float64 range, overflowing into a non-finite right-hand
+    side for :func:`cg_solve` or underflowing below the smallest normal
+    float64, without a numpy warning.
     """
     gamma = check_gamma(gamma)
     _check_stopping(tol, max_iter)
@@ -434,13 +440,16 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
                     return _torsion_solution(mesh, u, w, [res], gamma)
             u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
         else:
-            u[interior] = np.asarray(initial, dtype=float)[interior]
+            u[interior] = _checked_initial(initial, interior, gamma)
         residuals = []
+        norm = None
         for it in range(1, max_iter + 1):
             # at gamma = 0 the problem is linear: J = K and F = F0
             F, J = (F0, K) if gamma == 0.0 else op.newton(w, u, gamma)
-            d, _ = cg_solve(J, F - K @ u[interior], tol=1e-12,
-                            precond=precond)
+            r = F - K @ u[interior]
+            prev, norm = norm, _scaled_norm(r)
+            eta = 1e-12 if gamma == 0.0 else _forcing(norm, prev)
+            d, _ = cg_solve(J, r, tol=eta, precond=precond)
             u[interior] += d
             res = float(np.abs(d).max() / _checked_max(u))
             residuals.append(res)
@@ -451,6 +460,42 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
         f"after {max_iter} iterations (gamma={gamma})",
         history=residuals,
     )
+
+
+def _checked_initial(initial, interior, gamma):
+    """Interior values of a start guess; raises ValueError where Newton
+    cannot start from them: a value that is not finite, or at gamma > 0 no
+    positive value, where the source max(u, 0)^gamma and J's mass vanish."""
+    x = np.asarray(initial, dtype=float)[interior]
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial guess must be finite")
+    if gamma > 0.0 and not np.any(x > 0.0):
+        raise ValueError("initial guess needs a positive interior value "
+                         "at gamma > 0")
+    return x
+
+
+def _scaled_norm(r):
+    """||r|| as the pair (max|r|, ||r / max|r|||), whose product it is; the
+    second factor lies in [1, sqrt(n)], so ratios of norms stay in range
+    where ||r|| itself would underflow or overflow."""
+    top = float(np.abs(r).max())
+    if top == 0.0:
+        return 0.0, 0.0
+    return top, float(np.linalg.norm(r / top))
+
+
+def _forcing(norm, prev):
+    """Eisenstat-Walker forcing term of a Newton step, the relative residual
+    its linear solve needs: min(0.1, 0.9 (||r_k|| / ||r_k-1||)^2) from the
+    :func:`_scaled_norm` of this step's and the last step's right-hand
+    sides, floored at 1e-12; 0.1 on the first step or after a zero one.
+    See Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16-32, choice 2.
+    """
+    if prev is None or prev[0] == 0.0:
+        return 0.1
+    ratio = norm[0] / prev[0] * (norm[1] / prev[1])
+    return max(1e-12, min(0.1, 0.9 * ratio * ratio))
 
 
 def _checked_max(u):
@@ -475,10 +520,11 @@ def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
 
     Stops when the relative Rayleigh increment drops below tol; the mode is
     returned with exact unit weighted L2 norm and positive sign.  ``initial``
-    seeds the iteration (e.g. the mode of a nearby mesh).  Each step solves
-    K y = M x by :func:`cg_solve`, down to a relative residual of 1e-13,
-    preconditioned by ``precond``, by default :func:`_factor` of K.  K and
-    the weighted mass matrix M come from one :class:`EdgeOperator`.
+    seeds the iteration (e.g. the mode of a nearby mesh); one with a
+    non-finite or no nonzero interior value raises ValueError.  Each step
+    solves K y = M x by :func:`cg_solve`, down to a relative residual of
+    1e-13, preconditioned by ``precond``, by default :func:`_factor` of K.
+    K and the weighted mass matrix M come from one :class:`EdgeOperator`.
     ``weight`` and the input checks are those of :func:`solve_torsion`.
     """
     _check_stopping(tol, max_iter)
@@ -493,6 +539,8 @@ def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
         x = np.ones(len(interior))
     else:
         x = np.asarray(initial, dtype=float)[interior].copy()
+        if not np.all(np.isfinite(x)):
+            raise ValueError("initial eigenvector guess must be finite")
         if float(np.abs(x).max()) == 0.0:
             raise ValueError("initial eigenvector guess is identically zero")
     x /= np.sqrt(float(x @ (M @ x)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,15 +97,23 @@ def test_gamma_zero_linear_solve(disk40_g0, oracle_flat_g0):
     assert np.all(sol.u[sol.mesh.boundary_vertices] == 0.0)
 
 
-def test_gamma_zero_returns_the_linear_solve(disk40, monkeypatch):
-    calls = []
+def _counting_cg(monkeypatch):
+    """Patch solver.cg_solve to append each call's iteration count to the
+    list returned."""
+    iters = []
     cg = solver.cg_solve
 
-    def counting_cg(*args, **kwargs):
-        calls.append(1)
-        return cg(*args, **kwargs)
+    def counting(*args, **kwargs):
+        x, it = cg(*args, **kwargs)
+        iters.append(it)
+        return x, it
 
-    monkeypatch.setattr(solver, "cg_solve", counting_cg)
+    monkeypatch.setattr(solver, "cg_solve", counting)
+    return iters
+
+
+def test_gamma_zero_returns_the_linear_solve(disk40, monkeypatch):
+    calls = _counting_cg(monkeypatch)
     sol = tl.solve_torsion(disk40, 0.0)
     assert len(calls) == 1
     assert sol.iterations == 1
@@ -639,8 +648,98 @@ def test_jacobian_is_exactly_symmetric(spec, gamma, seed):
     assert (J != J.T).nnz == 0
 
 
-def test_newton_steps_unchanged_by_assembly():
+def test_newton_steps_unchanged_by_assembly(monkeypatch):
     # the assembled Jacobian is the matrix-free operator up to roundoff, so
-    # Newton takes the steps it took with the matrix-free product
+    # Newton takes the steps it took with the matrix-free product; solved
+    # only to the Eisenstat-Walker forcing terms, those 7 steps and the
+    # start take at most 40 PCG iterations (66 with every step at 1e-12)
+    iters = _counting_cg(monkeypatch)
     sol = tl.solve_torsion(tl.build_disk_mesh(1.0, 80), 0.6)
-    assert sol.iterations == 7
+    assert sol.iterations == 7 and len(iters) == 8
+    assert sum(iters) <= 40
+
+
+# Inexact Newton: each step's PCG tolerance follows the Eisenstat-Walker
+# forcing term, against a Newton loop that solves every step to 1e-12.
+
+def _exact_newton(mesh, gamma, weight, tol=1e-10, max_iter=200):
+    """u of solve_torsion's start and stop, every linear solve to 1e-12."""
+    op = solver.assemble_stiffness(mesh)
+    K, interior = op.K, op.interior
+    w = solver.nodal_weight(mesh, weight)
+    F0 = solver.load_vector(op, w)
+    precond = solver._factor(K)
+    u = np.zeros(len(mesh.vertices))
+    u[interior], _ = solver.cg_solve(K, F0, tol=1e-12, precond=precond)
+    if gamma == 0.0 and (np.linalg.norm(F0 - K @ u[interior])
+                         <= tol * np.linalg.norm(F0)):
+        return u
+    u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
+    for _ in range(max_iter):
+        F, J = (F0, K) if gamma == 0.0 else op.newton(w, u, gamma)
+        d, _ = solver.cg_solve(J, F - K @ u[interior], tol=1e-12,
+                               precond=precond)
+        u[interior] += d
+        if np.abs(d).max() <= tol * np.abs(u).max():
+            return u
+    raise AssertionError("reference Newton loop stalled")
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(("disk:1:{}", "ellipse:1:0.5:{}", "rect:1:1:{}:{}")),
+       n=st.integers(min_value=3, max_value=16),
+       gamma=st.floats(min_value=0.0, max_value=0.95),
+       a=st.none() | st.floats(min_value=0.0, max_value=0.9))
+def test_inexact_newton_matches_exact_solves(kind, n, gamma, a):
+    m = tl.mesh_from_spec(kind.format(n, n))
+    weight = None if a is None else (
+        lambda p: 1.0 + a * np.sin(2.0 * p[:, 0]) * np.cos(3.0 * p[:, 1]))
+    sol = tl.solve_torsion(m, gamma, weight=weight)
+    ref = solver.Solution(mesh=m, u=_exact_newton(m, gamma, weight),
+                          weight=sol.weight, iterations=1, residuals=(),
+                          gamma=gamma)
+    T, T_ref = tl.rigidity(sol).T_grad, tl.rigidity(ref).T_grad
+    assert abs(T - T_ref) <= 1e-12 * T_ref
+    # both residuals sit at roundoff; on a handful of unknowns they are a
+    # few ulps, where a factor 2 is the noise of evaluating them (2.5e-16
+    # against 1.1e-16 on rect:1:1:3:3)
+    res_floor = 4.0 * np.finfo(float).eps
+    res_ref = _equation_residual(ref)
+    assert _equation_residual(sol) <= 2.0 * max(res_ref, res_floor)
+
+
+# Start guesses Newton or inverse iteration cannot use are bad input.
+
+def test_torsion_rejects_unusable_initial():
+    m = tl.mesh_from_spec("disk:1:20")
+    n = len(m.vertices)
+    # from u = -1 Newton's source and Jacobian mass vanish: it used to
+    # return u ~ 1e-64 as converged, where max u is 4.3e-2
+    for bad in (-np.ones(n), np.zeros(n)):
+        with pytest.raises(ValueError, match="positive"):
+            tl.solve_torsion(m, 0.5, initial=bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.full(n, 0.01)
+        bad[m.interior_vertices[3]] = value
+        with pytest.raises(ValueError, match="finite"):
+            tl.solve_torsion(m, 0.5, initial=bad)
+        with pytest.raises(ValueError, match="finite"):
+            tl.solve_torsion(m, 0.0, initial=bad)
+    # the boundary values are not read, and at gamma = 0 any finite start
+    # reaches the linear solve
+    start = np.full(n, -1.0)
+    start[m.boundary_vertices] = np.nan
+    linear = tl.solve_torsion(m, 0.0)
+    stepped = tl.solve_torsion(m, 0.0, initial=start)
+    assert np.abs(stepped.u - linear.u).max() <= 1e-12 * linear.u.max()
+
+
+def test_eigen_rejects_non_finite_initial():
+    m = tl.mesh_from_spec("disk:1:20")
+    for value in (np.nan, np.inf):
+        bad = np.ones(len(m.vertices))
+        bad[m.interior_vertices[0]] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                tl.solve_eigen(m, initial=bad)
