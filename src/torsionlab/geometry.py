@@ -63,15 +63,32 @@ def cone_tau(beta: float) -> float:
     return 4.0 * math.pi * beta
 
 
+class _SeparatePair:
+    """The default ``warp_pair`` of a :class:`RadialMetric`: f and f' from
+    two calls."""
+
+    def __init__(self, warp, dwarp):
+        self.warp, self.dwarp = warp, dwarp
+
+    def __call__(self, r):
+        return self.warp(r), self.dwarp(r)
+
+
 @dataclasses.dataclass(frozen=True)
 class RadialMetric:
     """Warped-product metric dr^2 + f(r)^2 dtheta^2 on a geodesic disk.
 
     ``warp``, ``dwarp`` and ``d2warp`` are f, f' and f''; each must accept
-    scalars or numpy arrays.  ``tau`` is the exact isoperimetric constant of
-    the surface, or None where no exact value is known.  The pole condition
-    f(0)=0, f'(0)=1 is checked numerically at r=1e-8, and f must stay
-    positive on (0, r_max].
+    scalars or numpy arrays.  ``warp_pair`` maps r to the pair (f(r), f'(r))
+    in one call, for the shooting right-hand sides of the radial oracle,
+    which need both at every evaluation; its values must equal those of
+    ``warp`` and ``dwarp``.  When it is not given, it is
+    (warp(r), dwarp(r)), rebuilt from the current ``warp`` and ``dwarp`` by
+    ``dataclasses.replace`` as well; a pair that is given is kept by
+    ``replace``, so replace it along with them.  ``tau`` is the exact
+    isoperimetric constant of the surface, or None where no exact value is
+    known.  The pole condition f(0)=0, f'(0)=1 is checked numerically at
+    r=1e-8, and f must stay positive on (0, r_max].
     """
 
     warp: object
@@ -80,8 +97,12 @@ class RadialMetric:
     r_max: float
     name: str = "custom"
     tau: float | None = None
+    warp_pair: object = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.warp_pair is None or isinstance(self.warp_pair, _SeparatePair):
+            object.__setattr__(self, "warp_pair",
+                               _SeparatePair(self.warp, self.dwarp))
         if not np.isfinite(self.r_max) or self.r_max <= 0.0:
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
         if self.tau is not None:
@@ -202,7 +223,8 @@ def flat_metric(r_max: float = 64.0) -> RadialMetric:
 
 def sphere_metric(r_max: float = math.pi - 1e-3) -> RadialMetric:
     return RadialMetric(warp=np.sin, dwarp=np.cos,
-                        d2warp=lambda r: -np.sin(r), r_max=r_max, name="sphere")
+                        d2warp=lambda r: -np.sin(r), r_max=r_max, name="sphere",
+                        warp_pair=lambda r: (np.sin(r), np.cos(r)))
 
 
 def hyperbolic_metric(r_max: float = 16.0) -> RadialMetric:
@@ -217,30 +239,39 @@ def cone_metric(beta: float, eps: float = 0.05, r_max: float = 64.0) -> RadialMe
     exact cone untouched once r is a few multiples of eps; the smoothing
     collar itself carries a positive curvature spike (and a compensating
     negative dip on its outer shoulder), so curvature-based checks should
-    sample outside it.
+    sample outside it.  ``warp`` and ``dwarp`` are the two halves of
+    ``warp_pair``, which forms the Gaussian once for both.  Raises
+    ValueError for an eps that is not positive, or for which eps^2 or
+    (r_max/eps)^2 is not a finite normal float.
     """
     tau = cone_tau(beta)
-    if eps <= 0.0:
-        raise ValueError(f"smoothing width must be positive, got {eps}")
     b, e = float(beta), float(eps)
+    if not e > 0.0:
+        raise ValueError(f"smoothing width must be positive, got {eps}")
+    # e**2 and (r/e)**2 up to r_max must be finite normal floats: Python's
+    # e**2 raises OverflowError past ~1e154, and numpy's (r/e)**2 overflows
+    # with a warning below ~1e-153 * r_max
+    tiny = np.finfo(float).tiny
+    q = r_max / e
+    if not (tiny <= e * e < math.inf and tiny <= q * q < math.inf):
+        raise ValueError(f"smoothing width {eps:g} is out of range for "
+                         f"r_max {r_max:g}")
+    e2 = e**2
 
-    def warp(r):
+    def warp_pair(r):
         r = np.asarray(r, dtype=float)
-        return r * (b + (1.0 - b) * np.exp(-((r / e) ** 2)))
-
-    def dwarp(r):
-        r = np.asarray(r, dtype=float)
-        g = np.exp(-((r / e) ** 2))
-        return b + (1.0 - b) * g * (1.0 - 2.0 * r**2 / e**2)
+        g = (1.0 - b) * np.exp(-((r / e) ** 2))
+        return r * (b + g), b + g * (1.0 - 2.0 * r**2 / e2)
 
     def d2warp(r):
         r = np.asarray(r, dtype=float)
         g = np.exp(-((r / e) ** 2))
-        return (1.0 - b) * g * (2.0 * r / e**2) * (2.0 * r**2 / e**2 - 3.0)
+        return (1.0 - b) * g * (2.0 * r / e2) * (2.0 * r**2 / e2 - 3.0)
 
     name = f"cone:{beta:g}" if eps == 0.05 else f"cone:{beta:g}:{eps:g}"
-    return RadialMetric(warp=warp, dwarp=dwarp, d2warp=d2warp, r_max=r_max,
-                        name=name, tau=tau)
+    return RadialMetric(warp=lambda r: warp_pair(r)[0],
+                        dwarp=lambda r: warp_pair(r)[1], d2warp=d2warp,
+                        r_max=r_max, name=name, tau=tau, warp_pair=warp_pair)
 
 
 def user_metric(path: str) -> RadialMetric:

@@ -67,13 +67,14 @@ def _integrate_torsion(metric, gamma, radii, alphas, augmented, dense=False):
     """
     n = len(radii)
     R = radii
+    neg_R2 = -R * R
+    pair = metric.warp_pair
 
     def rhs(s, y):
         u, v = y[:n], y[n:2 * n]
-        r = R * s
-        f = metric.f(r)
+        f, df = pair(R * s)
         up = np.maximum(u, 0.0) ** gamma
-        dv = -R * R * up - R * metric.df(r) / f * v
+        dv = neg_R2 * up - R * df / f * v
         if not augmented:
             return np.concatenate((v, dv))
         two_pi_f = 2.0 * np.pi * f
@@ -324,12 +325,12 @@ def _integrate_eigen(metric, radii, lams, augmented, dense=False):
     n = len(radii)
     R = radii
     neg_k2 = -R * R * lams
+    pair = metric.warp_pair
 
     def rhs(s, y):
         u, v = y[:n], y[n:2 * n]
-        r = R * s
-        f = metric.f(r)
-        dv = neg_k2 * u - R * metric.df(r) / f * v
+        f, df = pair(R * s)
+        dv = neg_k2 * u - R * df / f * v
         if not augmented:
             return np.concatenate((v, dv))
         two_pi_f_R = 2.0 * np.pi * f * R

@@ -273,8 +273,11 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
     brings max|b| into [0.5, 1), and x back: that is exact, so in-range
     solves are bit-identical to unscaled ones, and a tiny or huge b keeps
     the loop and a float32 ``precond`` in range; the caller checks the
-    range of x.  Raises ConvergenceError with the residual history if the
-    cap is hit, and without one if b is not finite.
+    range of x.  A is meant to be SPD: a step with p.Ap <= 0 or not finite
+    is a breakdown, as at negative curvature (Steihaug, SIAM J. Numer.
+    Anal. 20 (1983) 626-637).  Raises ConvergenceError with the residual
+    history on a breakdown or if the cap is hit, and without one if b is
+    not finite.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
@@ -302,7 +305,7 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
             return np.ldexp(x, k), it
         Ap = A @ p
         pAp = float(p @ Ap)
-        if pAp == 0.0 or not np.isfinite(pAp):
+        if not 0.0 < pAp < np.inf:
             raise ConvergenceError(
                 f"cg broke down at iteration {it}: p.Ap = {pAp}", history=history)
         alpha = rz / pAp
@@ -404,7 +407,9 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     :func:`_factor` of K.
     The start is a supersolution built from the gamma = 0 solve, or a
     nearby finite ``initial`` (boundary values forced to zero) with, at
-    gamma > 0, a positive interior value.  At gamma = 0 the problem is
+    gamma > 0, a positive interior value.  Below the solution J can be
+    indefinite; when a step from ``initial`` meets that as a PCG breakdown,
+    the solve restarts once from the cold start.  At gamma = 0 the problem is
     linear and, without ``initial``, that solve is returned as the one step
     once its equation residual ||F - K u|| / ||F||, which ``residuals``
     then holds, is at most tol.
@@ -425,41 +430,54 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     if precond is None:
         precond = _factor(K)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.zeros(len(mesh.vertices))
-        if initial is None:
-            # s u0 is a supersolution, u0 the gamma = 0 solve and
-            # s = max(1, max u0)^(gamma/(1-gamma)), as K (s u0) = s F(1)
-            # >= F(s u0); from it Newton on this convex problem descends
-            # monotonically to the positive one
-            u[interior], _ = cg_solve(K, F0, tol=1e-12, precond=precond)
-            if gamma == 0.0:
-                res = float(np.linalg.norm(F0 - K @ u[interior])
-                            / np.linalg.norm(F0))
-                if res <= tol:
-                    return _torsion_solution(mesh, u, w, [res], gamma)
-            u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
-        else:
-            u[interior] = _checked_initial(initial, interior, gamma)
+    def newton(u, warm):
+        # below the solution J may be indefinite and PCG then breaks down
+        # (see cg_solve); from a warm start that returns None, so that the
+        # cold start, a supersolution where J stays SPD, takes over
         residuals = []
         norm = None
-        for it in range(1, max_iter + 1):
+        for _ in range(max_iter):
             # at gamma = 0 the problem is linear: J = K and F = F0
             F, J = (F0, K) if gamma == 0.0 else op.newton(w, u, gamma)
             r = F - K @ u[interior]
             prev, norm = norm, _scaled_norm(r)
             eta = 1e-12 if gamma == 0.0 else _forcing(norm, prev)
-            d, _ = cg_solve(J, r, tol=eta, precond=precond)
+            try:
+                d, _ = cg_solve(J, r, tol=eta, precond=precond)
+            except ConvergenceError:
+                if warm:
+                    return None
+                raise
             u[interior] += d
             res = float(np.abs(d).max() / _checked_max(u))
             residuals.append(res)
             if res <= tol:
                 return _torsion_solution(mesh, u, w, residuals, gamma)
-    raise ConvergenceError(
-        f"newton iteration stalled at increment {residuals[-1]:.3e} "
-        f"after {max_iter} iterations (gamma={gamma})",
-        history=residuals,
-    )
+        raise ConvergenceError(
+            f"newton iteration stalled at increment {residuals[-1]:.3e} "
+            f"after {max_iter} iterations (gamma={gamma})",
+            history=residuals,
+        )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.zeros(len(mesh.vertices))
+        if initial is not None:
+            u[interior] = _checked_initial(initial, interior, gamma)
+            solution = newton(u, warm=True)
+            if solution is not None:
+                return solution
+        # s u0 is a supersolution, u0 the gamma = 0 solve and
+        # s = max(1, max u0)^(gamma/(1-gamma)), as K (s u0) = s F(1)
+        # >= F(s u0); from it Newton on this convex problem descends
+        # monotonically to the positive one
+        u[interior], _ = cg_solve(K, F0, tol=1e-12, precond=precond)
+        if gamma == 0.0:
+            res = float(np.linalg.norm(F0 - K @ u[interior])
+                        / np.linalg.norm(F0))
+            if res <= tol:
+                return _torsion_solution(mesh, u, w, [res], gamma)
+        u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
+        return newton(u, warm=False)
 
 
 def _checked_initial(initial, interior, gamma):

@@ -356,6 +356,22 @@ def test_bad_tau_exit_2(argv):
     assert res.stderr.startswith("error: tau must be finite and positive")
 
 
+@pytest.mark.parametrize("eps", ["1e200", "1e308", "1e-300", "1e-160",
+                                 "inf", "nan"])
+def test_out_of_range_cone_width_exits_2(eps):
+    # e**2 raised OverflowError (exit 4) from 1e155 up, (r/e)**2 overflowed
+    # with a numpy warning for 1e-300, and inf shot the flat warp f = r
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "torsionlab.experiments", "radial", "--metric", f"cone:0.5:{eps}",
+         "--gamma", "0.3", "--radius", "1"],
+        capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: smoothing width")
+    assert res.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "--mesh", "disk:nan:5"),
     ("solve", "--mesh", "disk:inf:5"),
