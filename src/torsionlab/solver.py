@@ -408,8 +408,10 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     The start is a supersolution built from the gamma = 0 solve, or a
     nearby finite ``initial`` (boundary values forced to zero) with, at
     gamma > 0, a positive interior value.  Below the solution J can be
-    indefinite; when a step from ``initial`` meets that as a PCG breakdown,
-    the solve restarts once from the cold start.  At gamma = 0 the problem is
+    near singular or indefinite: the solve starts cold instead when u.J u
+    at ``initial`` is below (1 - gamma) u.K u / 2, half its value at the
+    solution, and restarts once from the cold start when a step from
+    ``initial`` meets a PCG breakdown.  At gamma = 0 the problem is
     linear and, without ``initial``, that solve is returned as the one step
     once its equation residual ||F - K u|| / ||F||, which ``residuals``
     then holds, is at most tol.
@@ -431,15 +433,23 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
         precond = _factor(K)
 
     def newton(u, warm):
-        # below the solution J may be indefinite and PCG then breaks down
-        # (see cg_solve); from a warm start that returns None, so that the
-        # cold start, a supersolution where J stays SPD, takes over
+        # below the solution J may be near singular or indefinite; from a
+        # warm start that returns None, so that the cold start, a
+        # supersolution where J stays SPD, takes over
         residuals = []
         norm = None
         for _ in range(max_iter):
             # at gamma = 0 the problem is linear: J = K and F = F0
             F, J = (F0, K) if gamma == 0.0 else op.newton(w, u, gamma)
             r = F - K @ u[interior]
+            if warm and norm is None:
+                # F is homogeneous of degree gamma in u, so J u = K u -
+                # gamma F; where u.J u falls below half its value
+                # (1 - gamma) u.K u at the solution, J is near singular or
+                # indefinite along the start and its first step overshoots
+                x = u[interior]
+                if gamma * (x @ F) > 0.5 * (1.0 + gamma) * (x @ (F - r)):
+                    return None
             prev, norm = norm, _scaled_norm(r)
             eta = 1e-12 if gamma == 0.0 else _forcing(norm, prev)
             try:
