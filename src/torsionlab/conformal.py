@@ -6,6 +6,12 @@ lap v = -|f'|^2 v^gamma on B_r, the conformal chart with e^{2 phi} = |f'|^2.
 Phi(f; r) compares the image rigidity with the flat disk value; it is
 constant exactly for linear maps and strictly increasing otherwise, with
 small-radius limit |f'(0)|^(4/(1-gamma)).
+
+A radius sweep of Phi solves every radius on one unit-disk mesh: f(B_r) is
+the image of B_1 under the dilation y -> f(r y), so T(f(B_r)) is the
+rigidity of B_1 with weight W_r(y) = r^2 |f'(r y)|^2, or of the unit mesh
+moved to f(r y).  Each radius starts from the last one's solution scaled
+by (r / r_prev)^(2 / (1 - gamma)), exact between flat disks.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .errors import DomainError
 from .mesh import build_disk_mesh, map_mesh
 from .radial_oracle import flat_disk_torsion
 from .shape import fd_validate_torsion, radial_flow
-from .solver import solve_torsion
+from .solver import solve_torsion, stiffness_preconditioner
 from .functionals import rigidity
 
 _GRID_TOL = 1e-12
@@ -149,42 +155,85 @@ def pullback_weight(cmap: ConformalMap):
     return weight
 
 
+def _dilate(cmap: ConformalMap, r: float) -> ConformalMap:
+    """g(y) = f(r y), which maps B_1 onto f(B_r); univalent on |y| < R / r.
+
+    Its pullback weight |g'(y)|^2 is W_r(y) = r^2 |f'(r y)|^2.
+    """
+    f, df = cmap.eval, cmap.deriv
+    return ConformalMap(name=f"{cmap.name} at scale {r:g}",
+                        eval=lambda y: f(r * y), deriv=lambda y: r * df(r * y),
+                        univalence_radius=cmap.univalence_radius / r)
+
+
+def _image_rigidities(cmap: ConformalMap, gamma: float, radii, n_rings: int,
+                      route: str) -> list:
+    """T(f(B_r)) for each of the increasing radii, on one unit-disk mesh;
+    see :func:`schwarz_ratio_sweep`.  :func:`solve_torsion` starts cold
+    where a scaled start would not do, and at gamma = 0 each radius is one
+    linear solve."""
+    if route not in ("pullback", "direct"):
+        raise ValueError(f"route must be 'pullback' or 'direct', got {route!r}")
+    for r in radii:
+        if not 0.0 < r < cmap.univalence_radius:
+            raise DomainError(f"radius {r:g} outside (0, "
+                              f"{cmap.univalence_radius:g}) of map {cmap.name!r}")
+    unit = build_disk_mesh(1.0, n_rings)
+    precond = stiffness_preconditioner(unit) if route == "pullback" else None
+    rigidities, u, r_prev = [], None, None
+    for r in radii:
+        g = _dilate(cmap, r)
+        if route == "pullback":
+            mesh, weight = unit, pullback_weight(g)
+        else:
+            mesh, weight = map_mesh(unit, g), None
+        initial = None
+        if u is not None and gamma > 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                initial = u * np.float64(r / r_prev) ** (2.0 / (1.0 - gamma))
+            if not np.all(np.isfinite(initial)):
+                initial = None  # past float64 range: start cold
+        sol = solve_torsion(mesh, gamma, weight=weight, initial=initial,
+                            precond=precond)
+        rigidities.append(rigidity(sol).T_power)
+        u, r_prev = sol.u, r
+    return rigidities
+
+
 def rigidity_of_image(cmap: ConformalMap, r: float, gamma: float,
                       n_rings: int = 40, route: str = "pullback") -> float:
     """T of the image domain f(B_r), by either of two independent routes.
 
-    "pullback" solves the weighted problem on the disk mesh itself;
-    "direct" pushes the mesh through the map and solves unweighted on the
-    polygonal image.  The two must agree within discretization error.
+    Both solve the problem of the dilation g(y) = f(r y) on the unit disk:
+    "pullback" the weighted problem on the disk mesh itself, with weight
+    W_r(y) = |g'(y)|^2 = r^2 |f'(r y)|^2; "direct" pushes the mesh through
+    g and solves unweighted on the polygonal image.  The two must agree
+    within discretization error.  The one-radius case of
+    :func:`schwarz_ratio_sweep`.
     """
-    if not 0.0 < r < cmap.univalence_radius:
-        raise DomainError(f"radius {r:g} outside (0, "
-                          f"{cmap.univalence_radius:g}) of map {cmap.name!r}")
-    disk = build_disk_mesh(r, n_rings)
-    if route == "pullback":
-        sol = solve_torsion(disk, gamma, weight=pullback_weight(cmap))
-    elif route == "direct":
-        sol = solve_torsion(map_mesh(disk, cmap), gamma)
-    else:
-        raise ValueError(f"route must be 'pullback' or 'direct', got {route!r}")
-    return rigidity(sol).T_power
+    return _image_rigidities(cmap, gamma, [float(r)], n_rings, route)[0]
 
 
 def schwarz_ratio_sweep(cmap: ConformalMap, gamma: float, r_grid,
                         n_rings: int = 40, route: str = "pullback") -> list:
-    """Rows {r, T_image, T_disk, Phi} with the disk value from the radial oracle."""
+    """Rows {r, T_image, T_disk, Phi} with the disk value from the radial oracle.
+
+    Every radius is solved on one unit-disk mesh, by the routes of
+    :func:`rigidity_of_image`: the pullback route with one factor of the
+    unit stiffness matrix for all radii, the direct route, the independent
+    cross-check, with one per radius.  At gamma > 0 each radius starts from
+    the last one's solution scaled by (r / r_prev)^(2 / (1 - gamma)), exact
+    between flat disks.
+    """
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) == 0 or np.any(np.diff(r_grid) <= 0.0):
         raise ValueError("r_grid must be nonempty and strictly increasing")
-    if r_grid.max() >= cmap.univalence_radius:
-        raise DomainError(f"grid reaches {r_grid.max():g}, at or beyond the "
-                          f"univalence radius of map {cmap.name!r}")
+    radii = [float(r) for r in r_grid]
     rows = []
-    for r in r_grid:
-        t_image = rigidity_of_image(cmap, float(r), gamma, n_rings=n_rings,
-                                    route=route)
-        t_disk = flat_disk_torsion(gamma, float(r))
-        rows.append({"r": float(r), "T_image": t_image, "T_disk": t_disk,
+    for r, t_image in zip(radii, _image_rigidities(cmap, gamma, radii,
+                                                   n_rings, route)):
+        t_disk = flat_disk_torsion(gamma, r)
+        rows.append({"r": r, "T_image": t_image, "T_disk": t_disk,
                      "Phi": t_image / t_disk})
     return rows
 

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .geometry import tau_value
 from .mesh import boundary_geometry
-from .solver import (integrate_midpoint, midpoint_values, nodal_weight,
-                     p1_gradients, weight_midpoints)
+from .solver import (_triangle_gradients, integrate_midpoint, midpoint_values,
+                     nodal_weight, p1_gradients, weight_midpoints)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,7 +49,7 @@ def boundary_normal_derivative(mesh, u):
     Recovered one-sidedly from the constant gradient of the adjacent
     triangle; for the torsion solution the values are negative.
     """
-    grads = p1_gradients(mesh, u)[mesh.boundary_edge_tri]
+    grads = _triangle_gradients(mesh, u, mesh.boundary_edge_tri)
     _, normals, lengths = boundary_geometry(mesh)
     return np.einsum("ed,ed->e", grads, normals), lengths
 

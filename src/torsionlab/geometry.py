@@ -210,6 +210,11 @@ def tau_circle_upper_bound(metric: RadialMetric, r_grid) -> float:
     return tau_value(best)
 
 
+def _flat_pair(r):
+    r = np.asarray(r, dtype=float)
+    return r, np.ones_like(r)
+
+
 def flat_metric(r_max: float = 64.0) -> RadialMetric:
     return RadialMetric(
         warp=lambda r: np.asarray(r, dtype=float),
@@ -218,6 +223,7 @@ def flat_metric(r_max: float = 64.0) -> RadialMetric:
         r_max=r_max,
         name="flat",
         tau=flat_tau(),
+        warp_pair=_flat_pair,
     )
 
 
@@ -229,7 +235,8 @@ def sphere_metric(r_max: float = math.pi - 1e-3) -> RadialMetric:
 
 def hyperbolic_metric(r_max: float = 16.0) -> RadialMetric:
     return RadialMetric(warp=np.sinh, dwarp=np.cosh, d2warp=np.sinh,
-                        r_max=r_max, name="hyperbolic")
+                        r_max=r_max, name="hyperbolic",
+                        warp_pair=lambda r: (np.sinh(r), np.cosh(r)))
 
 
 def cone_metric(beta: float, eps: float = 0.05, r_max: float = 64.0) -> RadialMetric:

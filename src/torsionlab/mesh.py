@@ -256,7 +256,8 @@ def map_mesh(mesh: TriMesh, cmap) -> TriMesh:
     """Push a mesh forward through a conformal map.
 
     Every vertex must lie strictly inside the map's certified univalence
-    disk; the image keeps the combinatorics and is revalidated.
+    disk; the image is a :meth:`TriMesh.replace_vertices` copy, which keeps
+    the combinatorics and revalidates orientation.
     """
     z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
     rad = np.abs(z)
@@ -266,7 +267,7 @@ def map_mesh(mesh: TriMesh, cmap) -> TriMesh:
             f"radius {cmap.univalence_radius:g} of map {cmap.name!r}"
         )
     fz = cmap.eval(z)
-    return TriMesh.from_arrays(np.column_stack([fz.real, fz.imag]), mesh.triangles)
+    return mesh.replace_vertices(np.column_stack([fz.real, fz.imag]))
 
 
 def save_mesh(mesh: TriMesh, path: str) -> None:

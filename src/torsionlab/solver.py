@@ -70,9 +70,10 @@ def weight_midpoints(mesh, weight) -> np.ndarray:
     return midpoint_values(mesh, nodal_weight(mesh, weight))
 
 
-def _edge_vectors(mesh) -> np.ndarray:
-    """e[t, i] is the edge opposite vertex i of triangle t."""
-    p = mesh.vertices[mesh.triangles]
+def _edge_vectors(mesh, tri=slice(None)) -> np.ndarray:
+    """e[t, i] is the edge opposite vertex i of triangle t, over the
+    triangles ``tri`` (an index array, or all of them)."""
+    p = mesh.vertices[mesh.triangles[tri]]
     e = np.empty_like(p)
     e[:, 0] = p[:, 2] - p[:, 1]
     e[:, 1] = p[:, 0] - p[:, 2]
@@ -253,12 +254,19 @@ def integrate_midpoint(mesh, vals_mid, w_mid=None) -> float:
 
 def p1_gradients(mesh, u) -> np.ndarray:
     """Constant gradient of the P1 field on each triangle, shape (ntri, 2)."""
-    e = _edge_vectors(mesh)
-    un = np.asarray(u, dtype=float)[mesh.triangles]
+    return _triangle_gradients(mesh, u, slice(None))
+
+
+def _triangle_gradients(mesh, u, tri) -> np.ndarray:
+    """:func:`p1_gradients` on the triangles ``tri`` only, an index array
+    or a slice; each row is that of the whole mesh, bit for bit."""
+    e = _edge_vectors(mesh, tri)
+    un = np.asarray(u, dtype=float)[mesh.triangles[tri]]
     # grad u = sum_i u_i e_i^perp / (2A), with (x, y)^perp = (-y, x)
     gx = -np.einsum("ti,ti->t", un, e[:, :, 1])
     gy = np.einsum("ti,ti->t", un, e[:, :, 0])
-    return np.column_stack([gx, gy]) / (2.0 * mesh.triangle_areas())[:, None]
+    return (np.column_stack([gx, gy])
+            / (2.0 * mesh.triangle_areas()[tri])[:, None])
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab as tl
 from torsionlab import conformal
-from torsionlab.errors import DomainError
+from torsionlab.errors import ConvergenceError, DomainError
 
 
 def test_map_registry_radii():
@@ -131,3 +133,64 @@ def test_image_variation_diagnostic():
     assert rep.rel_err < 6e-2
     with pytest.raises(DomainError):
         tl.image_variation_diagnostic(tl.map_from_spec("moebius:2"), 0.0, 0.9)
+
+
+def _image_rigidity_per_radius(cmap, r, gamma, n_rings, route):
+    """T(f(B_r)) from a mesh of B_r itself, solved cold: the weighted disk
+    for "pullback", the pushed-forward mesh for "direct"."""
+    disk = tl.build_disk_mesh(r, n_rings)
+    if route == "pullback":
+        sol = tl.solve_torsion(disk, gamma, weight=tl.pullback_weight(cmap))
+    else:
+        sol = tl.solve_torsion(tl.map_mesh(disk, cmap), gamma)
+    return tl.rigidity(sol).T_power
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(["linear:2:0.5,1", "quad:0.3", "cubic:0.5",
+                             "moebius:0.8,0.3"]),
+       gamma=st.floats(min_value=0.0, max_value=0.9),
+       fracs=st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=2,
+                      max_size=5, unique=True),
+       n_rings=st.integers(min_value=4, max_value=12),
+       route=st.sampled_from(["pullback", "direct"]))
+def test_sweep_matches_per_radius_solves(spec, gamma, fracs, n_rings, route):
+    # the sweep solves every radius on one unit-disk mesh, warm from the
+    # last radius; each T_image is that of B_r's own mesh solved cold
+    cmap = tl.map_from_spec(spec)
+    radii = min(1.0, cmap.univalence_radius) * np.sort(fracs)
+    rows = tl.schwarz_ratio_sweep(cmap, gamma, radii, n_rings=n_rings,
+                                  route=route)
+    for row in rows:
+        ref = _image_rigidity_per_radius(cmap, row["r"], gamma, n_rings, route)
+        assert abs(row["T_image"] - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("route", ["pullback", "direct"])
+def test_sweep_newton_step_budget(route, monkeypatch):
+    # warm starts scaled by (r / r_prev)^(2 / (1 - gamma)) take 35 Newton
+    # steps over this sweep; solving every radius cold takes 51, so a warm
+    # start that fell back to the cold one would break the budget
+    steps = []
+    solve = conformal.solve_torsion
+
+    def counting(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        steps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(conformal, "solve_torsion", counting)
+    tl.schwarz_ratio_sweep(tl.map_from_spec("quad:0.2"), 0.5,
+                           np.linspace(0.2, 0.9, 8), n_rings=40, route=route)
+    assert len(steps) == 8
+    assert sum(steps) <= 36
+
+
+def test_sweep_start_out_of_range_starts_cold():
+    # f = 4000 z at gamma 0.98: u is ~7e151 at r = 0.02, in range, and
+    # (0.9 / 0.02)^100 times that at r = 0.9, past float64; the scaled start
+    # overflows, the cold start runs and fails as a numerical failure, not
+    # as an invalid start guess (ValueError)
+    with pytest.raises(ConvergenceError):
+        tl.schwarz_ratio_sweep(tl.map_from_spec("linear:4000"), 0.98,
+                               [0.02, 0.9], n_rings=4)

@@ -91,6 +91,20 @@ def test_flux_cauchy_schwarz_chain(disk40_g03):
     assert rep.flux_L1**2 <= length * rep.flux_L2 * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("spec", ["disk:1:40", "ellipse:1:0.5:30",
+                                  "rect:1:2:24:16"])
+def test_boundary_normal_derivative_matches_full_gradients(spec):
+    # the boundary triangles' gradients alone are those of the whole mesh
+    # restricted to them, bit for bit
+    mesh = tl.mesh_from_spec(spec)
+    u = np.random.default_rng(7).random(len(mesh.vertices))
+    dn, lengths = functionals.boundary_normal_derivative(mesh, u)
+    grads = solver.p1_gradients(mesh, u)[mesh.boundary_edge_tri]
+    _, normals, ref_lengths = tl.boundary_geometry(mesh)
+    assert np.array_equal(dn, np.einsum("ed,ed->e", grads, normals))
+    assert np.array_equal(lengths, ref_lengths)
+
+
 def test_boundary_length_weighted(disk40):
     assert tl.boundary_length(disk40) == pytest.approx(2 * math.pi, rel=5e-3)
     # stereographic hemisphere chart: the rim maps to the equator, length 2 pi

@@ -121,6 +121,10 @@ def test_warp_pair_is_warp_and_dwarp(tmp_path):
         f, df = metric.warp_pair(grid)
         assert np.array_equal(f, metric.warp(grid)), metric.name
         assert np.array_equal(df, metric.dwarp(grid)), metric.name
+    # every named metric forms its pair in one call, not through the two
+    # calls of the default pair
+    for metric in metrics[:-1]:
+        assert not isinstance(metric.warp_pair, geometry._SeparatePair)
     # the cone's pair forms exp(-(r/eps)^2) once, and still gives the floats
     # of f and f' written out in full
     for beta, eps in ((0.5, 0.02), (0.25, 0.05)):

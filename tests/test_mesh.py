@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import torsionlab as tl
 from torsionlab.errors import DomainError
-from torsionlab.mesh import boundary_geometry, mesh_from_spec, load_mesh, save_mesh
+from torsionlab.mesh import (TriMesh, boundary_geometry, load_mesh,
+                            mesh_from_spec, save_mesh)
 
 
 def test_disk_mesh_counts():
@@ -207,6 +208,22 @@ def test_map_mesh_univalence_guard():
     small = tl.build_disk_mesh(0.4, 4)
     img = tl.map_mesh(small, squeeze)
     assert img.vertices.shape == small.vertices.shape
+
+
+@pytest.mark.parametrize("spec", ["quad:0.3", "cubic:0.5", "moebius:0.8,0.3"])
+def test_map_mesh_matches_a_rebuilt_image(spec):
+    # the image keeps the disk's combinatorics: it equals the mesh rebuilt
+    # from the mapped vertices, boundary loops and all
+    disk = tl.build_disk_mesh(0.7, 6)
+    img = tl.map_mesh(disk, tl.map_from_spec(spec))
+    z = disk.vertices[:, 0] + 1j * disk.vertices[:, 1]
+    fz = np.asarray(tl.map_from_spec(spec).eval(z))
+    ref = TriMesh.from_arrays(np.column_stack([fz.real, fz.imag]),
+                              disk.triangles)
+    for field in ("vertices", "triangles", "boundary_vertices",
+                  "boundary_edges", "boundary_edge_tri", "areas"):
+        np.testing.assert_array_equal(getattr(img, field), getattr(ref, field))
+    assert img.h == ref.h
 
 
 def _disk_triangles_loop(n):

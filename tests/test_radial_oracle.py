@@ -245,7 +245,8 @@ def test_sweeps_take_f_and_df_from_the_pair():
     assert calls == []
 
 
-@pytest.mark.parametrize("spec", ["cone:0.5:0.02", "sphere", "hyperbolic"])
+@pytest.mark.parametrize("spec", ["cone:0.5:0.02", "sphere", "hyperbolic",
+                                  "flat"])
 def test_sweeps_with_and_without_a_pair_agree(spec):
     # a metric built from warp and dwarp alone shoots the very same numbers
     metric = tl.metric_from_spec(spec)
