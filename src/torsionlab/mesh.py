@@ -11,6 +11,7 @@ areas computed for the orientation check, are write-locked.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -58,28 +59,63 @@ def _unpaired_edges(edges: np.ndarray, n: int) -> np.ndarray:
     return keys[pos] != rev
 
 
-@dataclasses.dataclass(frozen=True)
-class TriMesh:
-    """Triangulated planar domain.
+@dataclasses.dataclass(frozen=True, eq=False)
+class Topology:
+    """The combinatorics of a mesh, which its
+    :meth:`TriMesh.replace_vertices` copies share.
 
     ``boundary_edges`` lists directed vertex pairs in counterclockwise loop
     order and ``boundary_edge_tri`` the index of the unique triangle touching
-    each of them.  ``h`` is the longest edge in the mesh and ``areas`` the
-    (positive) area of each triangle.
+    each of them.  Compared and hashed by identity, so that what depends on
+    the combinatorics alone is computed once per topology: the interior
+    vertices here, the edge numbering of the solver's operator there.
     """
 
-    vertices: np.ndarray
+    n_vertices: int
     triangles: np.ndarray
     boundary_vertices: np.ndarray
     boundary_edges: np.ndarray
     boundary_edge_tri: np.ndarray
-    h: float
+
+    def __post_init__(self):
+        for arr in (self.triangles, self.boundary_vertices,
+                    self.boundary_edges, self.boundary_edge_tri):
+            arr.setflags(write=False)
+
+    @functools.cached_property
+    def interior_vertices(self) -> np.ndarray:
+        interior = np.setdiff1d(np.arange(self.n_vertices),
+                                self.boundary_vertices)
+        interior.setflags(write=False)
+        return interior
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class TriMesh:
+    """Triangulated planar domain: vertices on a :class:`Topology`.
+
+    ``areas`` is the (positive) area of each triangle and ``h`` the longest
+    edge in the mesh, computed on first use.  Compared and hashed by
+    identity, so that the solver can keep a mesh's operator while it lives.
+    """
+
+    vertices: np.ndarray
+    topology: Topology = dataclasses.field(repr=False)
     areas: np.ndarray = dataclasses.field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.vertices, self.triangles, self.boundary_vertices,
-                    self.boundary_edges, self.boundary_edge_tri, self.areas):
-            arr.setflags(write=False)
+        self.vertices.setflags(write=False)
+        self.areas.setflags(write=False)
+
+    triangles = property(lambda self: self.topology.triangles)
+    boundary_vertices = property(lambda self: self.topology.boundary_vertices)
+    boundary_edges = property(lambda self: self.topology.boundary_edges)
+    boundary_edge_tri = property(lambda self: self.topology.boundary_edge_tri)
+    interior_vertices = property(lambda self: self.topology.interior_vertices)
+
+    @functools.cached_property
+    def h(self) -> float:
+        return _longest_edge(self.vertices, self.triangles)
 
     @classmethod
     def from_arrays(cls, vertices, triangles) -> "TriMesh":
@@ -134,38 +170,26 @@ class TriMesh:
                     raise ValueError("boundary loops intersect")
         ordered = np.asarray(ordered, dtype=np.int64)
 
-        return cls(
-            vertices=verts,
+        topology = Topology(
+            n_vertices=n,
             triangles=tris,
             boundary_vertices=np.unique(b_edges),
             boundary_edges=np.ascontiguousarray(b_edges[ordered]),
             boundary_edge_tri=np.ascontiguousarray(b_tris[ordered]),
-            h=_longest_edge(verts, tris),
-            areas=areas,
         )
-
-    @property
-    def interior_vertices(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(len(self.vertices)), self.boundary_vertices)
+        return cls(vertices=verts, topology=topology, areas=areas)
 
     def triangle_areas(self) -> np.ndarray:
         return self.areas
 
     def replace_vertices(self, new_vertices) -> "TriMesh":
-        """Same combinatorics on moved vertices; revalidates orientation."""
+        """Same combinatorics on moved vertices, sharing this mesh's
+        :class:`Topology`; revalidates orientation."""
         new_verts = np.ascontiguousarray(np.asarray(new_vertices, dtype=float))
         if new_verts.shape != self.vertices.shape:
             raise ValueError("replacement vertices must match the existing shape")
         areas = _checked_areas(new_verts, self.triangles)
-        return TriMesh(
-            vertices=new_verts,
-            triangles=self.triangles,
-            boundary_vertices=self.boundary_vertices,
-            boundary_edges=self.boundary_edges,
-            boundary_edge_tri=self.boundary_edge_tri,
-            h=_longest_edge(new_verts, self.triangles),
-            areas=areas,
-        )
+        return TriMesh(vertices=new_verts, topology=self.topology, areas=areas)
 
 
 def boundary_geometry(mesh: TriMesh):

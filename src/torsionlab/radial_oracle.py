@@ -304,11 +304,22 @@ def _flat_unit_disk_torsion(gamma: float) -> float:
 
 
 def flat_disk_torsion(gamma: float, radius: float) -> float:
-    """T of the flat disk B_radius via the homogeneity T(r B) = r^(4/(1-gamma)) T(B)."""
+    """T of the flat disk B_radius via the homogeneity T(r B) = r^(4/(1-gamma)) T(B).
+
+    Raises OracleError where that leaves the normal float64 range, as it
+    does near gamma = 1 for small or large radii.
+    """
     gamma = check_gamma(gamma)
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    return float(radius) ** (4.0 / (1.0 - gamma)) * _flat_unit_disk_torsion(gamma)
+    try:
+        t = float(radius) ** (4.0 / (1.0 - gamma)) * _flat_unit_disk_torsion(gamma)
+    except OverflowError:
+        t = np.inf
+    if not np.finfo(float).tiny <= t < np.inf:
+        raise OracleError(f"T of the flat disk of radius {radius:g} at "
+                          f"gamma={gamma:g} leaves float64 range ({t:g})")
+    return t
 
 
 def _integrate_eigen(metric, radii, lams, augmented, dense=False):

@@ -7,8 +7,10 @@ the edge midpoints, the quadrature points.  That quadrature is exact for
 quadratics and makes every P1 object a sum over the mesh edges: the
 stiffness K, the weighted mass M(w), the load F(w) = M 1 and the Newton
 Jacobian J(u) = K - M_c all come from one :class:`EdgeOperator` per
-solve.  The torsion problem is solved by an inexact Newton method, the
-ground mode by inverse iteration.  Each solve factors K once, in single
+mesh, assembled on the mesh's first solve and kept while the mesh lives;
+moved copies of a mesh share its edge numbering and K's index arrays.
+The torsion problem is solved by an inexact Newton method, the ground
+mode by inverse iteration.  Each solve factors K once, in single
 precision, and every linear step runs conjugate gradients preconditioned by
 that factor down to a float64 residual test: 1e-12 for a linear solve,
 and for a Newton step the Eisenstat-Walker forcing term, loose while the
@@ -20,6 +22,7 @@ iterates.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,31 +84,83 @@ def _edge_vectors(mesh, tri=slice(None)) -> np.ndarray:
     return e
 
 
-def _edge_sums(tri, m, entries, weights):
-    """Sum over the (one or two) triangles sharing each mesh edge.
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Edges:
+    """The position-independent half of an :class:`EdgeOperator`, kept once
+    per mesh :class:`~torsionlab.mesh.Topology`; every array is int32 and
+    read-only.
 
-    ``tri`` holds renumbered vertices, the m interior ones first;
-    ``entries[t, q]`` is a value on edge q of triangle t, which joins its
-    local vertices _MIDPOINT_PAIRS[q], and ``weights[t]`` a value of
-    triangle t.  Returns the end points lo < hi of every edge with an
-    interior end (lo < m), sorted by (lo, hi), and per edge the sums of
-    ``entries`` and of ``weights``; a sum of two terms is exact in either
-    order.
+    ``order``, ``m``, ``lo``, ``hi``, ``up``, ``low`` and ``diag`` are those
+    of the operator, ``indices`` and ``indptr`` K's CSR index arrays.  Term
+    q of triangle t, flat index t * 3 + q, joins its local vertices
+    _MIDPOINT_PAIRS[q]; ``terms`` lists those on an edge with an interior
+    end, grouped by edge in the edges' order, and ``first`` the start of
+    each group, so that ``np.add.reduceat(x[terms], first)`` sums a
+    per-term x over the (one or two) triangles sharing each edge.
     """
-    n = int(tri.max()) + 1
+
+    order: np.ndarray
+    m: int
+    lo: np.ndarray
+    hi: np.ndarray
+    terms: np.ndarray
+    first: np.ndarray
+    up: np.ndarray
+    low: np.ndarray
+    diag: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _number_edges(mesh) -> _Edges:
+    """The edges with an interior end of the mesh, sorted by (lo, hi), and
+    the slots of K's canonical CSR arrays; the one edge sort of a topology.
+    Raises ValueError for a mesh without interior vertices."""
+    interior = mesh.interior_vertices
+    m, n = len(interior), len(mesh.vertices)
+    if m == 0:
+        raise ValueError("mesh has no interior vertices to solve on")
+    order = np.concatenate([interior, mesh.boundary_vertices], dtype=np.int32)
+    num = np.empty(n, dtype=np.int32)
+    num[order] = np.arange(n, dtype=np.int32)
+    tri = num[mesh.triangles]
     a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
+    del tri
     key = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
     del a, b  # each temporary freed early lowers the peak of a solve
-    at = np.flatnonzero(key < m * n)  # flat index t * 3 + q of each term
-    key = key.ravel()[at]
+    terms = np.flatnonzero(key < m * n)
+    key = key.ravel()[terms]
     by_key = np.argsort(key)
-    key, at = key[by_key], at[by_key]
+    key, terms = key[by_key], terms[by_key]
     del by_key
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    entry_sums = np.add.reduceat(entries.ravel()[at], first)
-    weight_sums = np.add.reduceat(weights[at // 3], first)
     lo, hi = np.divmod(key[first], n)
-    return lo.astype(np.int32), hi.astype(np.int32), entry_sums, weight_sums
+    del key
+    # made int32 once the sort's temporaries are freed, the arrays that
+    # live with the mesh leave a solve's factor that memory in one piece
+    lo, hi = lo.astype(np.int32), hi.astype(np.int32)
+    terms, first = terms.astype(np.int32), first.astype(np.int32)
+
+    # row i of K's canonical CSR arrays holds its lower edges' columns, i,
+    # then its upper edges' columns, each ascending.  The edges come sorted
+    # by (lo, hi), so a stable sort by row of [lower entries, diagonal,
+    # upper entries] puts every entry in its slot
+    inner = hi < m
+    n_in = int(inner.sum())
+    ids = np.arange(m, dtype=np.int32)
+    rows = np.concatenate([hi[inner], ids, lo[inner]])
+    by_row = np.argsort(rows, kind="stable")
+    slots = np.empty(len(rows), dtype=np.int32)
+    slots[by_row] = np.arange(len(rows), dtype=np.int32)
+    low, diag, up = np.split(slots, [n_in, n_in + m])
+    indices = np.concatenate([lo[inner], ids, hi[inner]])[by_row]
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    edges = _Edges(order=order, m=m, lo=lo, hi=hi, terms=terms, first=first,
+                   up=up, low=low, diag=diag, indices=indices, indptr=indptr)
+    for arr in (order, lo, hi, terms, first, up, low, diag, indices, indptr):
+        arr.setflags(write=False)
+    return edges
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -117,7 +172,7 @@ class EdgeOperator:
     ``share[e]`` = (A_1 + A_2) / 12.  An edge between interior vertices has
     its entries (lo, hi), (hi, lo) at slots ``up``, ``low`` of K's CSR
     arrays, row i its diagonal at ``diag[i]``.  The cotangent weights are
-    not kept once K holds them, as the operator lives through K's factor.
+    not kept once K holds them, as the operator lives with its mesh.
     """
 
     order: np.ndarray
@@ -184,15 +239,14 @@ def assemble_stiffness(mesh) -> EdgeOperator:
 
     Off the diagonal K holds the cotangent weight k_e of each edge, the sum
     of (e_a . e_b) / (4 A) over its triangles, e_a and e_b the triangle's
-    other two edges.  Raises ValueError for a mesh without interior vertices.
+    other two edges.  The edge numbering and K's index arrays are those of
+    the mesh's topology, made by its first assembly and shared by every
+    mesh on it; only ``share`` and K's values depend on the vertices.
+    Raises ValueError for a mesh without interior vertices.
     """
-    interior = mesh.interior_vertices
-    m, n = len(interior), len(mesh.vertices)
-    if m == 0:
-        raise ValueError("mesh has no interior vertices to solve on")
-    order = np.concatenate([interior, mesh.boundary_vertices], dtype=np.int32)
-    num = np.empty(n, dtype=np.int32)
-    num[order] = np.arange(n, dtype=np.int32)
+    edges = _EDGES.get(mesh.topology)
+    if edges is None:
+        edges = _EDGES[mesh.topology] = _number_edges(mesh)
     e = _edge_vectors(mesh)
     kloc = np.empty(mesh.triangles.shape)
     for q, (a, b) in enumerate(_MIDPOINT_PAIRS):
@@ -200,33 +254,33 @@ def assemble_stiffness(mesh) -> EdgeOperator:
     del e
     areas = mesh.triangle_areas()
     kloc /= (4.0 * areas)[:, None]
-    lo, hi, k, share = _edge_sums(num[mesh.triangles], m, kloc, areas / 12.0)
+    k = np.add.reduceat(kloc.ravel()[edges.terms], edges.first)
     del kloc
-    # copied once the sort's temporaries are freed, the arrays that live
-    # through K's factor leave its workspace that memory in one piece
-    lo, hi, share = lo.copy(), hi.copy(), share.copy()
-
-    # row i of K's canonical CSR arrays holds its lower edges' columns, i,
-    # then its upper edges' columns, each ascending.  The edges come sorted
-    # by (lo, hi), so a stable sort by row of [lower entries, diagonal,
-    # upper entries] puts every entry in its slot
-    inner = hi < m
-    n_in = int(inner.sum())
-    ids = np.arange(m, dtype=np.int32)
-    rows = np.concatenate([hi[inner], ids, lo[inner]])
-    by_row = np.argsort(rows, kind="stable")
-    slots = np.empty(len(rows), dtype=np.int32)
-    slots[by_row] = np.arange(len(rows), dtype=np.int32)
-    low, diag, up = np.split(slots, [n_in, n_in + m])
-    indices = np.concatenate([lo[inner], ids, hi[inner]])[by_row]
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    K = sp.csr_matrix((np.empty(len(indices)), indices, indptr), shape=(m, m))
-    op = EdgeOperator(order=order, m=m, lo=lo, hi=hi, share=share, up=up,
-                      low=low, diag=diag, K=K)
+    share = np.add.reduceat((areas / 12.0)[edges.terms // 3], edges.first)
+    m = edges.m
+    K = sp.csr_matrix((np.empty(len(edges.indices)), edges.indices,
+                       edges.indptr), shape=(m, m))
+    op = EdgeOperator(order=edges.order, m=m, lo=edges.lo, hi=edges.hi,
+                      share=share, up=edges.up, low=edges.low,
+                      diag=edges.diag, K=K)
     # a row of the full K sums to zero, so its diagonal is minus the
     # cotangent weights of all its edges, those to the boundary included
     op.fill(K.data, -op.vertex_sums(k), k)
+    K.data.setflags(write=False)
+    return op
+
+
+# what a mesh or its topology alone determines, kept while it lives
+_EDGES = weakref.WeakKeyDictionary()  # Topology -> _Edges
+_OPERATORS = weakref.WeakKeyDictionary()  # TriMesh -> EdgeOperator
+
+
+def _operator(mesh) -> EdgeOperator:
+    """:func:`assemble_stiffness` of the mesh, assembled on first use and
+    kept until the mesh is garbage-collected."""
+    op = _OPERATORS.get(mesh)
+    if op is None:
+        op = _OPERATORS[mesh] = assemble_stiffness(mesh)
     return op
 
 
@@ -342,7 +396,8 @@ def _factor(K):
     runs single-threaded, so the result is deterministic.
     """
     # K is symmetric, so its CSR arrays are also those of K in CSC format;
-    # canonical, so that splu leaves the shared index arrays as they are
+    # canonical, so that splu leaves the index arrays as they are: they are
+    # read-only, shared by every operator on the mesh's topology
     K.sum_duplicates()
     Kc = sp.csc_matrix((K.data.astype(np.float32), K.indices, K.indptr),
                        shape=K.shape)
@@ -358,7 +413,7 @@ def _factor(K):
 def stiffness_preconditioner(mesh):
     """:func:`_factor` of the interior stiffness matrix, the ``precond`` of
     the solvers on this mesh or on a moved copy with the same interior."""
-    return _factor(assemble_stiffness(mesh).K)
+    return _factor(_operator(mesh).K)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -433,7 +488,7 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     """
     gamma = check_gamma(gamma)
     _check_stopping(tol, max_iter)
-    op = assemble_stiffness(mesh)
+    op = _operator(mesh)
     K, interior = op.K, op.interior
     w = nodal_weight(mesh, weight)
     F0 = load_vector(op, w)
@@ -560,11 +615,12 @@ def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
     non-finite or no nonzero interior value raises ValueError.  Each step
     solves K y = M x by :func:`cg_solve`, down to a relative residual of
     1e-13, preconditioned by ``precond``, by default :func:`_factor` of K.
-    K and the weighted mass matrix M come from one :class:`EdgeOperator`.
+    K and the weighted mass matrix M come from the mesh's
+    :class:`EdgeOperator`.
     ``weight`` and the input checks are those of :func:`solve_torsion`.
     """
     _check_stopping(tol, max_iter)
-    op = assemble_stiffness(mesh)
+    op = _operator(mesh)
     K, interior = op.K, op.interior
     w = nodal_weight(mesh, weight)
     M = assemble_mass(op, w)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab import experiments, geometry
+from torsionlab import experiments, geometry, solver
 
 
 def run_cli(*args, cwd=None):
@@ -465,6 +465,39 @@ def test_out_of_range_solutions_exit_3_in_one_line(argv):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ")
     assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--mesh", "disk:1:8", "--gamma", "0.6"),
+    ("isoperimetry", "--mesh", "rect:1:1:8:8", "--gamma", "0.3"),
+    ("levelsets", "--mesh", "disk:1:8", "--gamma", "0", "--levels", "5"),
+    ("schwarz", "--map", "quad:0.2", "--gamma", "0.5", "--grid", "0.2:0.9:3",
+     "--n-rings", "6"),
+    ("schwarz", "--map", "quad:0.2", "--gamma", "0.5", "--grid", "0.2:0.9:3",
+     "--n-rings", "6", "--route", "direct"),
+    ("variation", "--mesh", "disk:1:8", "--gamma", "0.6", "--flow", "radial"),
+    ("variation", "--mesh", "disk:1:8", "--eigen", "--flow", "stretch-x"),
+    ("solve", "--mesh", "disk:1:16", "--gamma", "0.6", "--max-iter", "2"),
+])
+def test_cli_leaves_no_operator_behind(argv, capsys):
+    # every mesh a subcommand builds is gone when main returns, and the
+    # solver's operators and edge numberings with it, also after an exit 3
+    before = len(solver._OPERATORS), len(solver._EDGES)
+    experiments.main(list(argv))
+    capsys.readouterr()
+    assert (len(solver._OPERATORS), len(solver._EDGES)) == before
+
+
+def test_schwarz_flat_disk_underflow_exits_3_in_one_line():
+    # T(B_0.02) = 0.02^200 T(B_1) at gamma 0.98 underflows to 0, and the
+    # ratio Phi = T_image / T_disk divided by it: exit 4 on a
+    # ZeroDivisionError until the oracle raised on the underflow
+    res = run_cli("schwarz", "--map", "linear:30", "--gamma", "0.98",
+                  "--grid", "0.02,0.9", "--n-rings", "4")
+    assert res.returncode == experiments.EXIT_NUMERICAL
+    assert res.stdout == ""
+    assert res.stderr == ("error: T of the flat disk of radius 0.02 at "
+                          "gamma=0.98 leaves float64 range (0)\n")
 
 
 @pytest.mark.parametrize("spec", ["disk:1e200:5", "disk:1e155:5"])

@@ -58,6 +58,10 @@ def test_flat_disk_torsion_validation():
         tl.flat_disk_torsion(-0.2, 1.0)
     with pytest.raises(ValueError):
         tl.flat_disk_torsion(0.3, 0.0)
+    # r^(4 / (1 - gamma)) underflows, is subnormal, or overflows
+    for radius in (0.02, 0.06, 40.0):
+        with pytest.raises(tl.OracleError, match="leaves float64 range"):
+            tl.flat_disk_torsion(0.98, radius)
 
 
 def test_flat_eigenvalue(flat):

@@ -1,10 +1,11 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
@@ -607,22 +608,111 @@ def test_interior_assembly_matches_slice(spec):
         assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
 
-def test_one_edge_sort_per_solve(monkeypatch):
-    calls = []
-    edge_sums = solver._edge_sums
+def test_one_edge_sort_per_topology(monkeypatch):
+    # the first solve on a mesh sorts its edges and assembles K once; later
+    # solves on it assemble nothing, and a moved copy assembles its own
+    # values on the base's edge numbering and K's index arrays, sorting
+    # nothing
+    sorts, assemblies = [], []
+    number_edges, assemble = solver._number_edges, solver.assemble_stiffness
 
-    def counting(*args):
-        calls.append(1)
-        return edge_sums(*args)
+    def counting_sort(mesh):
+        sorts.append(1)
+        return number_edges(mesh)
 
-    monkeypatch.setattr(solver, "_edge_sums", counting)
-    m = tl.mesh_from_spec("disk:1:8")
-    for solve in (lambda: tl.solve_torsion(m, 0.0),
-                  lambda: tl.solve_torsion(m, 0.6, weight=_varying),
-                  lambda: tl.solve_eigen(m, weight=_varying)):
-        calls.clear()
-        solve()
-        assert len(calls) == 1
+    def counting_assembly(mesh):
+        assemblies.append(1)
+        return assemble(mesh)
+
+    monkeypatch.setattr(solver, "_number_edges", counting_sort)
+    monkeypatch.setattr(solver, "assemble_stiffness", counting_assembly)
+    m = tl.mesh_from_spec("disk:0.8:8")
+    image = tl.map_mesh(m, tl.map_from_spec("quad:0.2"))
+    for mesh, counts in ((m, (1, 1)), (image, (0, 1))):
+        for solve in (lambda: tl.solve_torsion(mesh, 0.0),
+                      lambda: tl.solve_torsion(mesh, 0.6, weight=_varying),
+                      lambda: tl.solve_eigen(mesh, weight=_varying),
+                      lambda: solver.stiffness_preconditioner(mesh)):
+            sorts.clear()
+            assemblies.clear()
+            solve()
+            assert (len(sorts), len(assemblies)) == counts
+            counts = (0, 0)
+    op, image_op = solver._operator(m), solver._operator(image)
+    for name in ("order", "lo", "hi", "up", "low", "diag"):
+        assert getattr(image_op, name) is getattr(op, name)
+    assert np.shares_memory(image_op.K.indices, op.K.indices)
+    assert np.shares_memory(image_op.K.indptr, op.K.indptr)
+    assert not np.array_equal(image_op.K.data, op.K.data)
+
+
+_MOVED_SPECS = ("disk:1:{}", "ellipse:1:0.5:{}", "rect:1:1:{}:{}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(_MOVED_SPECS), n=st.integers(2, 12),
+       angle=st.floats(-math.pi, math.pi), stretch=st.floats(0.25, 4.0),
+       shift=st.floats(-10.0, 10.0), jitter=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2**32 - 1))
+def test_moved_copy_operator_is_a_fresh_assembly(spec, n, angle, stretch,
+                                                 shift, jitter, seed):
+    # an orientation-preserving move: a rotation, a stretch, a shift and a
+    # jitter of each vertex by up to a tenth of the longest edge.  The
+    # copy's cached operator shares the base's position-independent half
+    # and sums only share and K's values itself, in the same order as a
+    # mesh rebuilt from the moved vertices, so every array is bit-identical
+    base = tl.mesh_from_spec(spec.format(n, n))
+    base_op = solver._operator(base)
+    c, s = math.cos(angle), math.sin(angle)
+    A = np.array([[c, -s], [s, c]]) @ np.diag([stretch, 1.0 / stretch])
+    rng = np.random.default_rng(seed)
+    moved = (base.vertices @ A.T + shift
+             + jitter * base.h * rng.uniform(-0.5, 0.5, base.vertices.shape))
+    try:
+        copy = base.replace_vertices(moved)
+    except ValueError:
+        assume(False)
+    cached = solver._operator(copy)
+    assert np.shares_memory(cached.K.indices, base_op.K.indices)
+    fresh = solver.assemble_stiffness(
+        tl.TriMesh.from_arrays(moved, base.triangles))
+    assert cached.m == fresh.m
+    for name in ("order", "lo", "hi", "share", "up", "low", "diag"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(cached.K, name), getattr(fresh.K, name))
+
+
+def test_operator_tables_drop_with_the_mesh():
+    # a mesh's operator goes when the mesh does, and the edge numbering of
+    # its topology when the last mesh on it does, with no collection cycle
+    before = len(solver._OPERATORS), len(solver._EDGES)
+    m = tl.build_disk_mesh(1.0, 6)
+    copy = m.replace_vertices(1.5 * m.vertices)
+    sols = [tl.solve_torsion(m, 0.3), tl.solve_eigen(copy)]
+    assert len(solver._OPERATORS) == before[0] + 2
+    assert len(solver._EDGES) == before[1] + 1
+    topology = weakref.ref(m.topology)
+    del m, sols
+    assert len(solver._OPERATORS) == before[0] + 1
+    assert len(solver._EDGES) == before[1] + 1
+    del copy
+    assert topology() is None
+    assert (len(solver._OPERATORS), len(solver._EDGES)) == before
+
+
+def test_shared_operator_arrays_are_read_only():
+    m = tl.build_disk_mesh(1.0, 5)
+    op = solver._operator(m)
+    edges = solver._EDGES[m.topology]
+    arrays = [getattr(op, name) for name in ("order", "lo", "hi", "up", "low",
+                                              "diag")]
+    arrays += [op.K.data, op.K.indices, op.K.indptr, edges.terms, edges.first,
+               m.interior_vertices]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.6])
