@@ -10,8 +10,11 @@ small-radius limit |f'(0)|^(4/(1-gamma)).
 A radius sweep of Phi solves every radius on one unit-disk mesh: f(B_r) is
 the image of B_1 under the dilation y -> f(r y), so T(f(B_r)) is the
 rigidity of B_1 with weight W_r(y) = r^2 |f'(r y)|^2, or of the unit mesh
-moved to f(r y).  Each radius starts from the last one's solution scaled
-by (r / r_prev)^(2 / (1 - gamma)), exact between flat disks.
+moved to f(r y).  Both routes share one float32 factor of the unit
+stiffness matrix per sweep, as P1 stiffness is invariant under
+similarities and the dilated image is locally one.  Each radius starts
+from the last one's solution scaled by (r / r_prev)^(2 / (1 - gamma)),
+exact between flat disks.
 """
 
 from __future__ import annotations
@@ -171,7 +174,10 @@ def _image_rigidities(cmap: ConformalMap, gamma: float, radii, n_rings: int,
     """T(f(B_r)) for each of the increasing radii, on one unit-disk mesh;
     see :func:`schwarz_ratio_sweep`.  :func:`solve_torsion` starts cold
     where a scaled start would not do, and at gamma = 0 each radius is one
-    linear solve."""
+    linear solve.  Every solve is preconditioned by the one factor of the
+    unit mesh's stiffness: the direct route keeps the stiffness, load and
+    float64 stop of its image mesh, so the factor only sets how fast PCG
+    gets there."""
     if route not in ("pullback", "direct"):
         raise ValueError(f"route must be 'pullback' or 'direct', got {route!r}")
     for r in radii:
@@ -179,7 +185,7 @@ def _image_rigidities(cmap: ConformalMap, gamma: float, radii, n_rings: int,
             raise DomainError(f"radius {r:g} outside (0, "
                               f"{cmap.univalence_radius:g}) of map {cmap.name!r}")
     unit = build_disk_mesh(1.0, n_rings)
-    precond = stiffness_preconditioner(unit) if route == "pullback" else None
+    precond = stiffness_preconditioner(unit)
     rigidities, u, r_prev = [], None, None
     for r in radii:
         g = _dilate(cmap, r)
@@ -209,7 +215,8 @@ def rigidity_of_image(cmap: ConformalMap, r: float, gamma: float,
     W_r(y) = |g'(y)|^2 = r^2 |f'(r y)|^2; "direct" pushes the mesh through
     g and solves unweighted on the polygonal image.  The two must agree
     within discretization error.  The one-radius case of
-    :func:`schwarz_ratio_sweep`.
+    :func:`schwarz_ratio_sweep`, with its one factor of the unit mesh's
+    stiffness on either route.
     """
     return _image_rigidities(cmap, gamma, [float(r)], n_rings, route)[0]
 
@@ -219,9 +226,9 @@ def schwarz_ratio_sweep(cmap: ConformalMap, gamma: float, r_grid,
     """Rows {r, T_image, T_disk, Phi} with the disk value from the radial oracle.
 
     Every radius is solved on one unit-disk mesh, by the routes of
-    :func:`rigidity_of_image`: the pullback route with one factor of the
-    unit stiffness matrix for all radii, the direct route, the independent
-    cross-check, with one per radius.  At gamma > 0 each radius starts from
+    :func:`rigidity_of_image`, the direct route the independent
+    cross-check; both precondition every radius with one factor of the
+    unit stiffness matrix.  At gamma > 0 each radius starts from
     the last one's solution scaled by (r / r_prev)^(2 / (1 - gamma)), exact
     between flat disks.
     """

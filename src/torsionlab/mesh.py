@@ -119,14 +119,16 @@ class TriMesh:
 
     @classmethod
     def from_arrays(cls, vertices, triangles) -> "TriMesh":
-        """Validate raw arrays and derive boundary structure.
+        """Validate raw arrays and derive boundary structure; the mesh keeps
+        read-only copies of them.
 
         Raises ValueError for non-finite coordinates, inverted triangles,
         nonconforming edge use, or a boundary that does not close up into
         loops.
         """
-        verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
-        tris = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
+        # copies, so that locking them leaves the caller's arrays writeable
+        verts = np.array(vertices, dtype=float, order="C")
+        tris = np.array(triangles, dtype=np.int64, order="C")
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
         if tris.ndim != 2 or tris.shape[1] != 3:
@@ -183,9 +185,9 @@ class TriMesh:
         return self.areas
 
     def replace_vertices(self, new_vertices) -> "TriMesh":
-        """Same combinatorics on moved vertices, sharing this mesh's
-        :class:`Topology`; revalidates orientation."""
-        new_verts = np.ascontiguousarray(np.asarray(new_vertices, dtype=float))
+        """Same combinatorics on a read-only copy of the moved vertices,
+        sharing this mesh's :class:`Topology`; revalidates orientation."""
+        new_verts = np.array(new_vertices, dtype=float, order="C")
         if new_verts.shape != self.vertices.shape:
             raise ValueError("replacement vertices must match the existing shape")
         areas = _checked_areas(new_verts, self.triangles)

@@ -14,7 +14,8 @@ mode by inverse iteration.  Each solve factors K once, in single
 precision, and every linear step runs conjugate gradients preconditioned by
 that factor down to a float64 residual test: 1e-12 for a linear solve,
 and for a Newton step the Eisenstat-Walker forcing term, loose while the
-nonlinear residual is large and tight once it falls quadratically.  Both
+nonlinear residual is large and tight once it falls quadratically, but
+never tighter than float64 can resolve that residual.  Both
 loops are deterministic; reruns of the same inputs produce bit-identical
 iterates.
 """
@@ -427,6 +428,9 @@ class Solution:
     normalised to unit weighted L2 norm with u > 0 inside, carries ``lam``.
     ``residuals`` holds the increments of the iteration, one per step, or
     the equation residual of a torsion solve returned at gamma = 0.
+    ``restarted`` is True for a torsion solve given an ``initial`` guess
+    that it abandoned for its cold start; the solution is then that of the
+    cold start alone.
     """
 
     mesh: object
@@ -436,6 +440,7 @@ class Solution:
     residuals: tuple
     gamma: float | None = None
     lam: float | None = None
+    restarted: bool = False
     w_mid: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
@@ -464,20 +469,24 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     J d = F(u) - K u by :func:`cg_solve` to the relative residual of
     :func:`_forcing`, from 0.1 on the first step down to 1e-12 as the
     residual falls, until max|d| / max|u| <= tol; the start solve and a
-    step at gamma = 0 go to 1e-12.  K, F and J all come from the mesh's
-    :class:`EdgeOperator` (see :meth:`EdgeOperator.newton`); J is SPD on
-    the positive branch (Brezis-Oswald).  ``precond`` defaults to
-    :func:`_factor` of K.
+    step at gamma = 0 go to 1e-12.  No step at gamma > 0 is solved below
+    eps ||F(u)|| / ||F(u) - K u||, eps the float64 machine epsilon: the
+    equation residual F(u) - K u cannot be evaluated below eps ||F(u)||,
+    so a tighter step would only resolve roundoff.  K, F and J all come
+    from the mesh's :class:`EdgeOperator` (see :meth:`EdgeOperator.newton`);
+    J is SPD on the positive branch (Brezis-Oswald).  ``precond`` defaults
+    to :func:`_factor` of K.
     The start is a supersolution built from the gamma = 0 solve, or a
     nearby finite ``initial`` (boundary values forced to zero) with, at
     gamma > 0, a positive interior value.  Below the solution J can be
     near singular or indefinite: the solve starts cold instead when u.J u
     at ``initial`` is below (1 - gamma) u.K u / 2, half its value at the
     solution, and restarts once from the cold start when a step from
-    ``initial`` meets a PCG breakdown.  At gamma = 0 the problem is
-    linear and, without ``initial``, that solve is returned as the one step
-    once its equation residual ||F - K u|| / ||F||, which ``residuals``
-    then holds, is at most tol.
+    ``initial`` meets a PCG breakdown; the solution then reads
+    ``restarted``.  At gamma = 0 the problem is linear and, without
+    ``initial``, that solve is returned as the one step once its equation
+    residual ||F - K u|| / ||F||, which ``residuals`` then holds, is at
+    most tol.
     ``weight`` is None or a callable e^{2 phi}, sampled at the vertices by
     :func:`nodal_weight`.  Raises ValueError for gamma outside [0, 1), a
     nonpositive tol, max_iter below 1, an invalid weight or ``initial``, or
@@ -514,7 +523,8 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
                 if gamma * (x @ F) > 0.5 * (1.0 + gamma) * (x @ (F - r)):
                     return None
             prev, norm = norm, _scaled_norm(r)
-            eta = 1e-12 if gamma == 0.0 else _forcing(norm, prev)
+            eta = (1e-12 if gamma == 0.0
+                   else _forcing(norm, prev, _scaled_norm(F)))
             try:
                 d, _ = cg_solve(J, r, tol=eta, precond=precond)
             except ConvergenceError:
@@ -525,13 +535,15 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
             res = float(np.abs(d).max() / _checked_max(u))
             residuals.append(res)
             if res <= tol:
-                return _torsion_solution(mesh, u, w, residuals, gamma)
+                return _torsion_solution(mesh, u, w, residuals, gamma,
+                                         restarted)
         raise ConvergenceError(
             f"newton iteration stalled at increment {residuals[-1]:.3e} "
             f"after {max_iter} iterations (gamma={gamma})",
             history=residuals,
         )
 
+    restarted = False
     with np.errstate(over="ignore", invalid="ignore"):
         u = np.zeros(len(mesh.vertices))
         if initial is not None:
@@ -539,6 +551,7 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
             solution = newton(u, warm=True)
             if solution is not None:
                 return solution
+            restarted = True
         # s u0 is a supersolution, u0 the gamma = 0 solve and
         # s = max(1, max u0)^(gamma/(1-gamma)), as K (s u0) = s F(1)
         # >= F(s u0); from it Newton on this convex problem descends
@@ -548,7 +561,7 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
             res = float(np.linalg.norm(F0 - K @ u[interior])
                         / np.linalg.norm(F0))
             if res <= tol:
-                return _torsion_solution(mesh, u, w, [res], gamma)
+                return _torsion_solution(mesh, u, w, [res], gamma, restarted)
         u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
         return newton(u, warm=False)
 
@@ -576,17 +589,28 @@ def _scaled_norm(r):
     return top, float(np.linalg.norm(r / top))
 
 
-def _forcing(norm, prev):
+def _forcing(norm, prev, load=None):
     """Eisenstat-Walker forcing term of a Newton step, the relative residual
     its linear solve needs: min(0.1, 0.9 (||r_k|| / ||r_k-1||)^2) from the
     :func:`_scaled_norm` of this step's and the last step's right-hand
     sides, floored at 1e-12; 0.1 on the first step or after a zero one.
     See Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16-32, choice 2.
+
+    With the :func:`_scaled_norm` of the step's load F(u_k), the term is
+    also floored at eps ||F(u_k)|| / ||r_k||, at most 0.1, eps the float64
+    machine epsilon: r_k = F(u_k) - K u_k cannot be evaluated below about
+    eps ||F(u_k)||, so a linear residual smaller than that is roundoff that
+    the next step cannot see (Kelley, Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, 6.3, on oversolving).
     """
     if prev is None or prev[0] == 0.0:
         return 0.1
     ratio = norm[0] / prev[0] * (norm[1] / prev[1])
-    return max(1e-12, min(0.1, 0.9 * ratio * ratio))
+    eta = max(1e-12, min(0.1, 0.9 * ratio * ratio))
+    if load is None or norm[0] == 0.0:
+        return eta
+    floor = load[0] / norm[0] * (load[1] / norm[1])
+    return max(eta, min(0.1, float(np.finfo(float).eps) * floor))
 
 
 def _checked_max(u):
@@ -599,10 +623,11 @@ def _checked_max(u):
     return u_max
 
 
-def _torsion_solution(mesh, u, w, residuals, gamma) -> Solution:
+def _torsion_solution(mesh, u, w, residuals, gamma, restarted) -> Solution:
     _checked_max(u)
     return Solution(mesh=mesh, u=u, weight=w, iterations=len(residuals),
-                    residuals=tuple(residuals), gamma=gamma)
+                    residuals=tuple(residuals), gamma=gamma,
+                    restarted=restarted)
 
 
 def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import conformal
+from torsionlab import conformal, solver
 from torsionlab.errors import ConvergenceError, DomainError
 
 
@@ -184,6 +184,26 @@ def test_sweep_newton_step_budget(route, monkeypatch):
                            np.linspace(0.2, 0.9, 8), n_rings=40, route=route)
     assert len(steps) == 8
     assert sum(steps) <= 36
+
+
+@pytest.mark.parametrize("route", ["pullback", "direct"])
+def test_sweep_factors_once(route, monkeypatch):
+    # one float32 factor of the unit mesh's stiffness preconditions every
+    # radius on both routes; the direct route used to factor each image
+    factors = []
+    factor = solver._factor
+
+    def counting(K):
+        factors.append(K)
+        return factor(K)
+
+    monkeypatch.setattr(solver, "_factor", counting)
+    tl.schwarz_ratio_sweep(tl.map_from_spec("quad:0.2"), 0.5,
+                           np.linspace(0.2, 0.9, 8), n_rings=10, route=route)
+    assert len(factors) == 1
+    tl.rigidity_of_image(tl.map_from_spec("cubic:0.3"), 0.5, 0.0,
+                         n_rings=10, route=route)
+    assert len(factors) == 2
 
 
 def test_sweep_start_out_of_range_starts_cold():

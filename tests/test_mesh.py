@@ -119,6 +119,25 @@ def test_mesh_arrays_immutable():
         m.triangles[0, 0] = 7
 
 
+def test_mesh_leaves_the_callers_arrays_writeable():
+    # float64 and int64 C arrays are the dtypes the mesh stores, where
+    # np.asarray would hand back the caller's own array to be locked
+    base = tl.build_disk_mesh(1.0, 3)
+    v, t = base.vertices.copy(), base.triangles.astype(np.int64)
+    m = tl.TriMesh.from_arrays(v, t)
+    w = 1.5 * v
+    moved = m.replace_vertices(w)
+    assert v.flags.writeable and t.flags.writeable and w.flags.writeable
+    v[:] = 7.0
+    t[:] = 0
+    w[:] = -3.0
+    assert np.array_equal(m.vertices, base.vertices)
+    assert np.array_equal(m.triangles, base.triangles)
+    assert np.array_equal(moved.vertices, 1.5 * base.vertices)
+    assert not (m.vertices.flags.writeable or m.triangles.flags.writeable
+                or moved.vertices.flags.writeable)
+
+
 def test_replace_vertices():
     m = tl.build_disk_mesh(1.0, 3)
     m2 = m.replace_vertices(m.vertices * 2.0)
