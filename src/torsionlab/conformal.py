@@ -10,11 +10,11 @@ small-radius limit |f'(0)|^(4/(1-gamma)).
 A radius sweep of Phi solves every radius on one unit-disk mesh: f(B_r) is
 the image of B_1 under the dilation y -> f(r y), so T(f(B_r)) is the
 rigidity of B_1 with weight W_r(y) = r^2 |f'(r y)|^2, or of the unit mesh
-moved to f(r y).  Both routes share one float32 factor of the unit
-stiffness matrix per sweep, as P1 stiffness is invariant under
-similarities and the dilated image is locally one.  Each radius starts
-from the last one's solution scaled by (r / r_prev)^(2 / (1 - gamma)),
-exact between flat disks.
+moved to f(r y).  Both routes stay on the unit mesh's topology, so the
+solver preconditions every radius with one float32 factor, as P1
+stiffness is invariant under similarities and the dilated image is
+locally one.  Each radius starts from the last one's solution scaled by
+(r / r_prev)^(2 / (1 - gamma)), exact between flat disks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import DomainError
 from .mesh import build_disk_mesh, map_mesh
 from .radial_oracle import flat_disk_torsion
 from .shape import fd_validate_torsion, radial_flow
-from .solver import solve_torsion, stiffness_preconditioner
+from .solver import solve_torsion
 from .functionals import rigidity
 
 _GRID_TOL = 1e-12
@@ -174,10 +174,9 @@ def _image_rigidities(cmap: ConformalMap, gamma: float, radii, n_rings: int,
     """T(f(B_r)) for each of the increasing radii, on one unit-disk mesh;
     see :func:`schwarz_ratio_sweep`.  :func:`solve_torsion` starts cold
     where a scaled start would not do, and at gamma = 0 each radius is one
-    linear solve.  Every solve is preconditioned by the one factor of the
-    unit mesh's stiffness: the direct route keeps the stiffness, load and
-    float64 stop of its image mesh, so the factor only sets how fast PCG
-    gets there."""
+    linear solve.  The direct route keeps the stiffness, load and float64
+    stop of each image mesh; the factor that every mesh on the unit mesh's
+    topology shares only sets how fast PCG gets there."""
     if route not in ("pullback", "direct"):
         raise ValueError(f"route must be 'pullback' or 'direct', got {route!r}")
     for r in radii:
@@ -185,7 +184,6 @@ def _image_rigidities(cmap: ConformalMap, gamma: float, radii, n_rings: int,
             raise DomainError(f"radius {r:g} outside (0, "
                               f"{cmap.univalence_radius:g}) of map {cmap.name!r}")
     unit = build_disk_mesh(1.0, n_rings)
-    precond = stiffness_preconditioner(unit)
     rigidities, u, r_prev = [], None, None
     for r in radii:
         g = _dilate(cmap, r)
@@ -199,8 +197,7 @@ def _image_rigidities(cmap: ConformalMap, gamma: float, radii, n_rings: int,
                 initial = u * np.float64(r / r_prev) ** (2.0 / (1.0 - gamma))
             if not np.all(np.isfinite(initial)):
                 initial = None  # past float64 range: start cold
-        sol = solve_torsion(mesh, gamma, weight=weight, initial=initial,
-                            precond=precond)
+        sol = solve_torsion(mesh, gamma, weight=weight, initial=initial)
         rigidities.append(rigidity(sol).T_power)
         u, r_prev = sol.u, r
     return rigidities
@@ -215,8 +212,7 @@ def rigidity_of_image(cmap: ConformalMap, r: float, gamma: float,
     W_r(y) = |g'(y)|^2 = r^2 |f'(r y)|^2; "direct" pushes the mesh through
     g and solves unweighted on the polygonal image.  The two must agree
     within discretization error.  The one-radius case of
-    :func:`schwarz_ratio_sweep`, with its one factor of the unit mesh's
-    stiffness on either route.
+    :func:`schwarz_ratio_sweep`.
     """
     return _image_rigidities(cmap, gamma, [float(r)], n_rings, route)[0]
 
@@ -227,10 +223,9 @@ def schwarz_ratio_sweep(cmap: ConformalMap, gamma: float, r_grid,
 
     Every radius is solved on one unit-disk mesh, by the routes of
     :func:`rigidity_of_image`, the direct route the independent
-    cross-check; both precondition every radius with one factor of the
-    unit stiffness matrix.  At gamma > 0 each radius starts from
-    the last one's solution scaled by (r / r_prev)^(2 / (1 - gamma)), exact
-    between flat disks.
+    cross-check; on both the solver preconditions every radius with one
+    factor.  At gamma > 0 each radius starts from the last one's solution
+    scaled by (r / r_prev)^(2 / (1 - gamma)), exact between flat disks.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) == 0 or np.any(np.diff(r_grid) <= 0.0):

@@ -10,14 +10,14 @@ Jacobian J(u) = K - M_c all come from one :class:`EdgeOperator` per
 mesh, assembled on the mesh's first solve and kept while the mesh lives;
 moved copies of a mesh share its edge numbering and K's index arrays.
 The torsion problem is solved by an inexact Newton method, the ground
-mode by inverse iteration.  Each solve factors K once, in single
-precision, and every linear step runs conjugate gradients preconditioned by
-that factor down to a float64 residual test: 1e-12 for a linear solve,
-and for a Newton step the Eisenstat-Walker forcing term, loose while the
-nonlinear residual is large and tight once it falls quadratically, but
-never tighter than float64 can resolve that residual.  Both
-loops are deterministic; reruns of the same inputs produce bit-identical
-iterates.
+mode by inverse iteration.  Every linear step runs conjugate gradients
+preconditioned by a float32 factor of K, kept for the last topology
+solved on and shared by the moved copies solved after its first mesh,
+down to a float64 residual test: 1e-12 for a linear solve, and for a
+Newton step the Eisenstat-Walker forcing term, loose while the nonlinear
+residual is large and tight once it falls quadratically, but never
+tighter than float64 can resolve that residual.  Both loops are
+deterministic; reruns of the same solves give bit-identical iterates.
 """
 
 from __future__ import annotations
@@ -271,9 +271,11 @@ def assemble_stiffness(mesh) -> EdgeOperator:
     return op
 
 
-# what a mesh or its topology alone determines, kept while it lives
+# what a mesh or its topology alone determines, kept while it lives, and
+# the float32 factor of the last topology solved on (see _preconditioner)
 _EDGES = weakref.WeakKeyDictionary()  # Topology -> _Edges
 _OPERATORS = weakref.WeakKeyDictionary()  # TriMesh -> EdgeOperator
+_FACTORS = weakref.WeakKeyDictionary()  # Topology -> _factor, one at most
 
 
 def _operator(mesh) -> EdgeOperator:
@@ -411,10 +413,15 @@ def _factor(K):
     return solve
 
 
-def stiffness_preconditioner(mesh):
-    """:func:`_factor` of the interior stiffness matrix, the ``precond`` of
-    the solvers on this mesh or on a moved copy with the same interior."""
-    return _factor(_operator(mesh).K)
+def _preconditioner(mesh):
+    """The :func:`_factor` kept for the mesh's topology, from the K of the
+    first mesh on it solved; it drops any other topology's, as one for each
+    live topology would hold ~34 MB per 256 x 256 square a caller keeps."""
+    solve = _FACTORS.get(mesh.topology)
+    if solve is None:
+        _FACTORS.clear()  # before factoring, so that two never coexist
+        solve = _FACTORS[mesh.topology] = _factor(_operator(mesh).K)
+    return solve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -462,7 +469,7 @@ def _check_stopping(tol, max_iter):
 
 
 def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
-                  initial=None, precond=None) -> Solution:
+                  initial=None) -> Solution:
     """Inexact Newton method for the semilinear torsion problem K u = F(u).
 
     F is the load of the source max(u, 0)^gamma.  Each step solves
@@ -474,8 +481,8 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     equation residual F(u) - K u cannot be evaluated below eps ||F(u)||,
     so a tighter step would only resolve roundoff.  K, F and J all come
     from the mesh's :class:`EdgeOperator` (see :meth:`EdgeOperator.newton`);
-    J is SPD on the positive branch (Brezis-Oswald).  ``precond`` defaults
-    to :func:`_factor` of K.
+    J is SPD on the positive branch (Brezis-Oswald).  PCG runs with the
+    factor of the mesh's topology, from :func:`_preconditioner`.
     The start is a supersolution built from the gamma = 0 solve, or a
     nearby finite ``initial`` (boundary values forced to zero) with, at
     gamma > 0, a positive interior value.  Below the solution J can be
@@ -497,12 +504,11 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
     """
     gamma = check_gamma(gamma)
     _check_stopping(tol, max_iter)
+    precond = _preconditioner(mesh)  # first, to free a factor it drops
     op = _operator(mesh)
     K, interior = op.K, op.interior
     w = nodal_weight(mesh, weight)
     F0 = load_vector(op, w)
-    if precond is None:
-        precond = _factor(K)
 
     def newton(u, warm):
         # below the solution J may be near singular or indefinite; from a
@@ -631,7 +637,7 @@ def _torsion_solution(mesh, u, w, residuals, gamma, restarted) -> Solution:
 
 
 def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
-                initial=None, precond=None) -> Solution:
+                initial=None) -> Solution:
     """Ground eigenpair by inverse power iteration with Rayleigh quotients.
 
     Stops when the relative Rayleigh increment drops below tol; the mode is
@@ -639,18 +645,17 @@ def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
     seeds the iteration (e.g. the mode of a nearby mesh); one with a
     non-finite or no nonzero interior value raises ValueError.  Each step
     solves K y = M x by :func:`cg_solve`, down to a relative residual of
-    1e-13, preconditioned by ``precond``, by default :func:`_factor` of K.
+    1e-13, preconditioned as in :func:`solve_torsion`.
     K and the weighted mass matrix M come from the mesh's
     :class:`EdgeOperator`.
     ``weight`` and the input checks are those of :func:`solve_torsion`.
     """
     _check_stopping(tol, max_iter)
+    precond = _preconditioner(mesh)
     op = _operator(mesh)
     K, interior = op.K, op.interior
     w = nodal_weight(mesh, weight)
     M = assemble_mass(op, w)
-    if precond is None:
-        precond = _factor(K)
 
     if initial is None:
         x = np.ones(len(interior))

@@ -7,12 +7,26 @@ prints the one-line verdict, so -s shows the same table the CLI prints.
 
 import pytest
 
-from torsionlab import experiments
+from torsionlab import experiments, solver
 
 
 @pytest.fixture(scope="session")
 def acceptance_report():
-    return experiments.run_acceptance()
+    # the solver keeps the float32 factor of the last topology solved on:
+    # 14 factorisations a pass, where one for each solve outside an fd
+    # check or a sweep, and one for each of those, would make 24
+    factors = []
+    factor = solver._factor
+
+    def counting(K):
+        factors.append(K.shape)
+        return factor(K)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_factor", counting)
+        report = experiments.run_acceptance()
+    assert len(factors) <= 28
+    return report
 
 
 def _assert_criterion(report, num):

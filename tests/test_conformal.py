@@ -188,8 +188,10 @@ def test_sweep_newton_step_budget(route, monkeypatch):
 
 @pytest.mark.parametrize("route", ["pullback", "direct"])
 def test_sweep_factors_once(route, monkeypatch):
-    # one float32 factor of the unit mesh's stiffness preconditions every
-    # radius on both routes; the direct route used to factor each image
+    # every mesh of a sweep is on the unit mesh's topology, so one float32
+    # factor preconditions every radius on both routes: the unit mesh's on
+    # the pullback route, the first image's on the direct route, which
+    # solves nothing on the unit mesh
     factors = []
     factor = solver._factor
 

@@ -356,6 +356,16 @@ def test_bad_tau_exit_2(argv):
     assert res.stderr.startswith("error: tau must be finite and positive")
 
 
+@pytest.mark.parametrize("tol_rel", ["nan", "0", "-1", "inf"])
+def test_bad_tol_rel_exit_2(tol_rel):
+    # nan, 0 and -1 failed every verdict (exit 1) and inf passed any
+    res = run_cli("variation", "--mesh", "disk:1:8", "--tol-rel", tol_rel)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == [res.stderr.strip()]
+    assert res.stderr.startswith("error: tol-rel must be finite and positive")
+
+
 @pytest.mark.parametrize("eps", ["1e200", "1e308", "1e-300", "1e-160",
                                  "inf", "nan"])
 def test_out_of_range_cone_width_exits_2(eps):
@@ -481,11 +491,15 @@ def test_out_of_range_solutions_exit_3_in_one_line(argv):
 ])
 def test_cli_leaves_no_operator_behind(argv, capsys):
     # every mesh a subcommand builds is gone when main returns, and the
-    # solver's operators and edge numberings with it, also after an exit 3
+    # solver's operators, edge numberings and factor with it, also after an
+    # exit 3.  main may drop a factor kept from before, so the factor's key
+    # is compared with those from before
     before = len(solver._OPERATORS), len(solver._EDGES)
+    kept = list(solver._FACTORS.keys())
     experiments.main(list(argv))
     capsys.readouterr()
     assert (len(solver._OPERATORS), len(solver._EDGES)) == before
+    assert all(any(key is k for k in kept) for key in solver._FACTORS.keys())
 
 
 def test_schwarz_flat_disk_underflow_exits_3_in_one_line():

@@ -111,6 +111,8 @@ def _fd_checks(m):
 
 
 def test_fd_check_factors_once(monkeypatch):
+    # with no factor kept, a check factors its base mesh once and the moved
+    # copies share it; with the base's factor kept, a check factors nothing
     m = tl.build_disk_mesh(1.0, 16)
     calls, factor = [], solver._factor
 
@@ -120,7 +122,10 @@ def test_fd_check_factors_once(monkeypatch):
 
     monkeypatch.setattr(solver, "_factor", counting)
     for check in _fd_checks(m):
+        solver._FACTORS.clear()
         calls.clear()
+        check()
+        assert calls == [(len(m.interior_vertices),) * 2]
         check()
         assert calls == [(len(m.interior_vertices),) * 2]
 
@@ -130,7 +135,8 @@ def test_shared_factor_matches_fresh_factors(monkeypatch):
     # factor their own mesh, down to the solver tolerances
     m = tl.build_disk_mesh(1.0, 24)
     shared = [check() for check in _fd_checks(m)]
-    monkeypatch.setattr(shape, "stiffness_preconditioner", lambda mesh: None)
+    monkeypatch.setattr(solver, "_preconditioner",
+                        lambda mesh: solver._factor(solver._operator(mesh).K))
     fresh = [check() for check in _fd_checks(m)]
     for a, b in zip(shared, fresh):
         assert a.analytic == pytest.approx(b.analytic, rel=1e-10)

@@ -233,19 +233,17 @@ def test_warm_start_below_the_solution_restarts_cold(monkeypatch):
     # the solve starts cold before any linear solve from it
     mesh = tl.build_disk_mesh(1.0, 40)
     base = tl.pullback_weight(tl.map_from_spec("quad:0.2"))
-    precond = solver.stiffness_preconditioner(mesh)
 
     def weight(r):
         return lambda points: r * r * base(r * points)
 
-    start = tl.solve_torsion(mesh, 0.5, weight=weight(0.2), precond=precond)
+    start = tl.solve_torsion(mesh, 0.5, weight=weight(0.2))
     iters = _counting_cg(monkeypatch)
-    cold = tl.solve_torsion(mesh, 0.5, weight=weight(0.3), precond=precond)
+    cold = tl.solve_torsion(mesh, 0.5, weight=weight(0.3))
     assert cold.iterations == 7
     cold_iters = list(iters)
     iters.clear()
-    warm = tl.solve_torsion(mesh, 0.5, weight=weight(0.3), precond=precond,
-                            initial=start.u)
+    warm = tl.solve_torsion(mesh, 0.5, weight=weight(0.3), initial=start.u)
     assert warm.iterations == 7
     assert iters == cold_iters and sum(iters) <= 40
     assert np.array_equal(warm.u, cold.u)
@@ -634,8 +632,7 @@ def test_one_edge_sort_per_topology(monkeypatch):
     for mesh, counts in ((m, (1, 1)), (image, (0, 1))):
         for solve in (lambda: tl.solve_torsion(mesh, 0.0),
                       lambda: tl.solve_torsion(mesh, 0.6, weight=_varying),
-                      lambda: tl.solve_eigen(mesh, weight=_varying),
-                      lambda: solver.stiffness_preconditioner(mesh)):
+                      lambda: tl.solve_eigen(mesh, weight=_varying)):
             sorts.clear()
             assemblies.clear()
             solve()
@@ -687,21 +684,42 @@ def test_moved_copy_operator_is_a_fresh_assembly(spec, n, angle, stretch,
 
 
 def test_operator_tables_drop_with_the_mesh():
-    # a mesh's operator goes when the mesh does, and the edge numbering of
-    # its topology when the last mesh on it does, with no collection cycle
+    # a mesh's operator goes when the mesh does, and the edge numbering and
+    # the factor of its topology when the last mesh on it does, with no
+    # collection cycle
     before = len(solver._OPERATORS), len(solver._EDGES)
     m = tl.build_disk_mesh(1.0, 6)
     copy = m.replace_vertices(1.5 * m.vertices)
     sols = [tl.solve_torsion(m, 0.3), tl.solve_eigen(copy)]
     assert len(solver._OPERATORS) == before[0] + 2
     assert len(solver._EDGES) == before[1] + 1
+    assert list(solver._FACTORS.keys()) == [m.topology]
     topology = weakref.ref(m.topology)
     del m, sols
     assert len(solver._OPERATORS) == before[0] + 1
     assert len(solver._EDGES) == before[1] + 1
+    assert list(solver._FACTORS.keys()) == [copy.topology]
     del copy
     assert topology() is None
     assert (len(solver._OPERATORS), len(solver._EDGES)) == before
+    assert len(solver._FACTORS) == 0
+
+
+def test_one_factor_at_a_time():
+    # the table keeps the factor of the last topology solved on: a moved
+    # copy shares it, another topology replaces it, and solving A again
+    # after B factors A afresh and gives A's u bit for bit
+    a, b = tl.build_disk_mesh(1.0, 10), tl.mesh_from_spec("rect:1:1:9:7")
+    copy = a.replace_vertices(1.5 * a.vertices)
+    runs = []
+    for mesh in (a, copy, b, a):
+        runs.append((solver._preconditioner(mesh),
+                     tl.solve_torsion(mesh, 0.4).u, tl.solve_eigen(mesh).u))
+        assert list(solver._FACTORS.keys()) == [mesh.topology]
+    assert runs[1][0] is runs[0][0]
+    assert runs[3][0] is not runs[0][0]
+    assert np.array_equal(runs[3][1], runs[0][1])
+    assert np.array_equal(runs[3][2], runs[0][2])
 
 
 def test_shared_operator_arrays_are_read_only():
