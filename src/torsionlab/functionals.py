@@ -29,7 +29,7 @@ from .errors import ConvergenceError
 from .geometry import tau_value
 from .mesh import boundary_geometry
 from .solver import (_triangle_gradients, integrate_midpoint, midpoint_values,
-                     nodal_weight, p1_gradients, weight_midpoints)
+                     nodal_weight, p1_gradients)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _boundary_weight(mesh, w_nodal):
 
 def area(mesh, weight=None) -> float:
     """Metric area of the meshed domain."""
-    w_mid = weight_midpoints(mesh, weight)
+    w_mid = midpoint_values(mesh, nodal_weight(mesh, weight))
     return float((mesh.triangle_areas() / 3.0) @ w_mid.sum(axis=1))
 
 
@@ -92,8 +92,9 @@ def rigidity(solution) -> RigidityReport:
     T_grad = float(areas @ (grads * grads).sum(axis=1))
 
     u_mid = np.maximum(midpoint_values(mesh, u), 0.0)
-    T_power = integrate_midpoint(mesh, u_mid ** (1.0 + gamma), solution.w_mid)
-    I_gamma = integrate_midpoint(mesh, u_mid ** gamma, solution.w_mid)
+    w_mid = midpoint_values(mesh, solution.weight)
+    T_power = integrate_midpoint(mesh, u_mid ** (1.0 + gamma), w_mid)
+    I_gamma = integrate_midpoint(mesh, u_mid ** gamma, w_mid)
     if not all(np.finfo(float).tiny <= T < np.inf for T in (T_grad, T_power)):
         raise ConvergenceError(
             f"rigidity leaves the float64 range: T_grad = {T_grad:.3e}, "
@@ -170,8 +171,9 @@ def eigen_isoperimetry_ratio(eig, tau) -> EigenIsoperimetryRatio:
         lhs, i1, lam = 1.0, eig.i1, eig.lam
     else:
         u_mid = midpoint_values(eig.mesh, eig.u)
-        lhs = integrate_midpoint(eig.mesh, u_mid * u_mid, eig.w_mid)
-        i1 = integrate_midpoint(eig.mesh, u_mid, eig.w_mid)
+        w_mid = midpoint_values(eig.mesh, eig.weight)
+        lhs = integrate_midpoint(eig.mesh, u_mid * u_mid, w_mid)
+        i1 = integrate_midpoint(eig.mesh, u_mid, w_mid)
         lam = eig.lam
     rhs = (lam / tau_v) * i1 * i1
     if rhs <= 0.0:
@@ -250,8 +252,9 @@ def _slicer(solution):
     u_max = u_nod.max(axis=1)
     third = mesh.triangle_areas() / 3.0
     u_mid = np.maximum(midpoint_values(mesh, u), 0.0)
-    a_tri = third * solution.w_mid.sum(axis=1)
-    i_tri = third * (solution.w_mid * u_mid ** gamma).sum(axis=1)
+    w_mid = midpoint_values(mesh, solution.weight)
+    a_tri = third * w_mid.sum(axis=1)
+    i_tri = third * (w_mid * u_mid ** gamma).sum(axis=1)
     grads = p1_gradients(mesh, u)
     grad_norm = np.hypot(grads[:, 0], grads[:, 1])
 

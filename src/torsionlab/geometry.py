@@ -6,11 +6,12 @@ about the pole have length 2*pi*f(r), geodesic disks have area
 2*pi*int_0^r f(s) ds, and the Gauss curvature is -f''(r)/f(r).  Smoothness
 at the pole requires f(0) = 0 and f'(0) = 1.
 
-A :class:`RadialMetric` carries f with its first two derivatives and the
-isoperimetric constant tau = inf (boundary length)^2 / area of its surface,
-the input of the rigidity inequalities, where an exact value is known (the
-flat plane and the cone).  Elsewhere tau is None: a geodesic-circle scan
-gives a cheap upper bound, but it is never stored as the metric's tau.
+A :class:`RadialMetric` carries f in one form, the pair (f, f') from one
+call, with f'' beside it, and the isoperimetric constant
+tau = inf (boundary length)^2 / area of its surface, the input of the
+rigidity inequalities, where an exact value is known (the flat plane and
+the cone).  Elsewhere tau is None: a geodesic-circle scan gives a cheap
+upper bound, but it is never stored as the metric's tau.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 
 from .errors import DomainError
 
@@ -63,66 +64,45 @@ def cone_tau(beta: float) -> float:
     return 4.0 * math.pi * beta
 
 
-class _SeparatePair:
-    """The default ``warp_pair`` of a :class:`RadialMetric`: f and f' from
-    two calls."""
-
-    def __init__(self, warp, dwarp):
-        self.warp, self.dwarp = warp, dwarp
-
-    def __call__(self, r):
-        return self.warp(r), self.dwarp(r)
-
-
 @dataclasses.dataclass(frozen=True)
 class RadialMetric:
     """Warped-product metric dr^2 + f(r)^2 dtheta^2 on a geodesic disk.
 
-    ``warp``, ``dwarp`` and ``d2warp`` are f, f' and f''; each must accept
-    scalars or numpy arrays.  ``warp_pair`` maps r to the pair (f(r), f'(r))
-    in one call, for the shooting right-hand sides of the radial oracle,
-    which need both at every evaluation; its values must equal those of
-    ``warp`` and ``dwarp``.  When it is not given, it is
-    (warp(r), dwarp(r)), rebuilt from the current ``warp`` and ``dwarp`` by
-    ``dataclasses.replace`` as well; a pair that is given is kept by
-    ``replace``, so replace it along with them.  ``tau`` is the exact
-    isoperimetric constant of the surface, or None where no exact value is
-    known.  The pole condition f(0)=0, f'(0)=1 is checked numerically at
-    r=1e-8, and f must stay positive on (0, r_max].
+    ``warp_pair`` maps r to the pair (f(r), f'(r)) in one call, the form
+    the shooting right-hand sides of the radial oracle need at every
+    evaluation, and ``d2warp`` is f''; each must accept scalars or numpy
+    arrays.  ``tau`` is the exact isoperimetric constant of the surface, or
+    None where no exact value is known.  The pole condition f(0)=0,
+    f'(0)=1 is checked numerically at r=1e-8, and f must stay positive on
+    (0, r_max].
     """
 
-    warp: object
-    dwarp: object
+    warp_pair: object
     d2warp: object
     r_max: float
     name: str = "custom"
     tau: float | None = None
-    warp_pair: object = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.warp_pair is None or isinstance(self.warp_pair, _SeparatePair):
-            object.__setattr__(self, "warp_pair",
-                               _SeparatePair(self.warp, self.dwarp))
         if not np.isfinite(self.r_max) or self.r_max <= 0.0:
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
         if self.tau is not None:
             tau_value(self.tau)
-        probe = float(self.warp(_POLE_PROBE))
+        probe = float(self.f(_POLE_PROBE))
         if abs(probe / _POLE_PROBE - 1.0) > _POLE_TOL:
             raise ValueError(
                 f"warp violates the pole condition f(0)=0, f'(0)=1: "
                 f"f({_POLE_PROBE:g}) = {probe:g}"
             )
-        sample = np.linspace(self.r_max / 256.0, self.r_max, 256)
-        fs = np.asarray(self.warp(sample), dtype=float)
+        fs = self.f(np.linspace(self.r_max / 256.0, self.r_max, 256))
         if not np.all(np.isfinite(fs)) or np.any(fs <= 0.0):
             raise ValueError("warp must be positive and finite on (0, r_max]")
 
     def f(self, r):
-        return np.asarray(self.warp(r), dtype=float)
+        return np.asarray(self.warp_pair(r)[0], dtype=float)
 
     def df(self, r):
-        return np.asarray(self.dwarp(r), dtype=float)
+        return np.asarray(self.warp_pair(r)[1], dtype=float)
 
     def d2f(self, r):
         return np.asarray(self.d2warp(r), dtype=float)
@@ -156,7 +136,7 @@ def disk_area(metric: RadialMetric, r) -> float:
     r = check_radius(metric, r)
     if r.ndim > 0:
         return np.array([disk_area(metric, ri) for ri in r])
-    val, _ = quad(lambda s: float(metric.warp(s)), 0.0, float(r),
+    val, _ = quad(lambda s: float(metric.f(s)), 0.0, float(r),
                   epsabs=1e-14, epsrel=1e-10, limit=200)
     return 2.0 * math.pi * val
 
@@ -217,26 +197,22 @@ def _flat_pair(r):
 
 def flat_metric(r_max: float = 64.0) -> RadialMetric:
     return RadialMetric(
-        warp=lambda r: np.asarray(r, dtype=float),
-        dwarp=lambda r: np.ones_like(np.asarray(r, dtype=float)),
+        warp_pair=_flat_pair,
         d2warp=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         r_max=r_max,
         name="flat",
         tau=flat_tau(),
-        warp_pair=_flat_pair,
     )
 
 
 def sphere_metric(r_max: float = math.pi - 1e-3) -> RadialMetric:
-    return RadialMetric(warp=np.sin, dwarp=np.cos,
-                        d2warp=lambda r: -np.sin(r), r_max=r_max, name="sphere",
-                        warp_pair=lambda r: (np.sin(r), np.cos(r)))
+    return RadialMetric(warp_pair=lambda r: (np.sin(r), np.cos(r)),
+                        d2warp=lambda r: -np.sin(r), r_max=r_max, name="sphere")
 
 
 def hyperbolic_metric(r_max: float = 16.0) -> RadialMetric:
-    return RadialMetric(warp=np.sinh, dwarp=np.cosh, d2warp=np.sinh,
-                        r_max=r_max, name="hyperbolic",
-                        warp_pair=lambda r: (np.sinh(r), np.cosh(r)))
+    return RadialMetric(warp_pair=lambda r: (np.sinh(r), np.cosh(r)),
+                        d2warp=np.sinh, r_max=r_max, name="hyperbolic")
 
 
 def cone_metric(beta: float, eps: float = 0.05, r_max: float = 64.0) -> RadialMetric:
@@ -246,10 +222,9 @@ def cone_metric(beta: float, eps: float = 0.05, r_max: float = 64.0) -> RadialMe
     exact cone untouched once r is a few multiples of eps; the smoothing
     collar itself carries a positive curvature spike (and a compensating
     negative dip on its outer shoulder), so curvature-based checks should
-    sample outside it.  ``warp`` and ``dwarp`` are the two halves of
-    ``warp_pair``, which forms the Gaussian once for both.  Raises
-    ValueError for an eps that is not positive, or for which eps^2 or
-    (r_max/eps)^2 is not a finite normal float.
+    sample outside it.  ``warp_pair`` forms the Gaussian once for f and
+    f'.  Raises ValueError for an eps that is not positive, or for which
+    eps^2 or (r_max/eps)^2 is not a finite normal float.
     """
     tau = cone_tau(beta)
     b, e = float(beta), float(eps)
@@ -276,25 +251,28 @@ def cone_metric(beta: float, eps: float = 0.05, r_max: float = 64.0) -> RadialMe
         return (1.0 - b) * g * (2.0 * r / e2) * (2.0 * r**2 / e2 - 3.0)
 
     name = f"cone:{beta:g}" if eps == 0.05 else f"cone:{beta:g}:{eps:g}"
-    return RadialMetric(warp=lambda r: warp_pair(r)[0],
-                        dwarp=lambda r: warp_pair(r)[1], d2warp=d2warp,
-                        r_max=r_max, name=name, tau=tau, warp_pair=warp_pair)
+    return RadialMetric(warp_pair=warp_pair, d2warp=d2warp, r_max=r_max,
+                        name=name, tau=tau)
 
 
 def user_metric(path: str) -> RadialMetric:
-    """Metric from a two-column table of r, f(r) samples, cubic-spline interpolated.
+    """Metric from a two-column table of r, f(r) samples, interpolated by a
+    quintic spline.
 
     f' and f'' are the spline's own derivatives.  The first row should be
-    (0, 0).
+    (0, 0).  A quintic, not a cubic: the oracle's final shot, which adds
+    the area integrals, must land within 1e-10 * alpha as its search shot
+    did, and a cubic's knots move the landing by more than that, where a
+    quintic's stay near 1e-12 on sin tables of 11 to 401 rows.
     """
     data = np.loadtxt(path)
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
-        raise ValueError(f"warp table {path!r} must have two columns and >= 4 rows")
+    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 6:
+        raise ValueError(f"warp table {path!r} must have two columns and >= 6 rows")
     r, f = data[:, 0], data[:, 1]
     if np.any(np.diff(r) <= 0.0):
         raise ValueError(f"warp table {path!r} must have strictly increasing radii")
-    spline = CubicSpline(r, f)
-    return RadialMetric(warp=spline, dwarp=spline.derivative(1),
+    spline = make_interp_spline(r, f, k=5)
+    return RadialMetric(warp_pair=lambda x: (spline(x), spline(x, 1)),
                         d2warp=spline.derivative(2), r_max=float(r[-1]),
                         name=f"user:{path}")
 

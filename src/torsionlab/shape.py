@@ -27,11 +27,10 @@ from .solver import solve_eigen, solve_torsion
 
 @dataclasses.dataclass(frozen=True)
 class FlowSpec:
-    """Velocity field on the chart; t_range is the stated validity interval."""
+    """Velocity field on the chart."""
 
     name: str
     velocity: object
-    t_range: tuple = (-0.25, 0.25)
 
     def __call__(self, points):
         return np.asarray(self.velocity(np.asarray(points, dtype=float)),
@@ -234,8 +233,11 @@ def fd_validate_torsion(mesh, gamma, flow, step=None, weight=None,
         lambda sol: rigidity(sol).T_grad, lambda base: _torsion_factor(base.gamma))
 
 
-def fd_validate_eigen(mesh, flow, step=None, weight=None) -> VariationReport:
-    """Centered-difference check of the eigenvalue variation."""
+def fd_validate_eigen(mesh, flow, step=None, weight=None,
+                      **solve_kw) -> VariationReport:
+    """Centered-difference check of the eigenvalue variation; ``solve_kw``
+    (tol, max_iter) goes to each :func:`solve_eigen`."""
     return _fd_check("eigen", mesh, flow, step,
-                     lambda m, **kw: solve_eigen(m, weight=weight, **kw),
+                     lambda m, **kw: solve_eigen(m, weight=weight, **kw,
+                                                 **solve_kw),
                      lambda sol: sol.lam, lambda base: -1.0)

@@ -65,15 +65,6 @@ def nodal_weight(mesh, weight) -> np.ndarray:
     return vals
 
 
-def weight_midpoints(mesh, weight) -> np.ndarray:
-    """Metric area weight at the quadrature points; all ones for the plane.
-
-    The weight is sampled at the vertices and interpolated linearly to the
-    edge midpoints.
-    """
-    return midpoint_values(mesh, nodal_weight(mesh, weight))
-
-
 def _edge_vectors(mesh, tri=slice(None)) -> np.ndarray:
     """e[t, i] is the edge opposite vertex i of triangle t, over the
     triangles ``tri`` (an index array, or all of them)."""
@@ -301,11 +292,11 @@ def load_vector(op, w) -> np.ndarray:
     return 2.0 * op.vertex_sums(op.edge_mass(w))
 
 
-def integrate_midpoint(mesh, vals_mid, w_mid=None) -> float:
-    """Integrate a midpoint-sampled field, optionally against a weight."""
-    vals = np.asarray(vals_mid, dtype=float)
-    if w_mid is not None:
-        vals = vals * w_mid
+def integrate_midpoint(mesh, vals_mid, w_mid) -> float:
+    """Integrate a midpoint-sampled field against the metric weight, both
+    of shape (ntri, 3); ``w_mid`` is :func:`midpoint_values` of the nodal
+    weight."""
+    vals = np.asarray(vals_mid, dtype=float) * w_mid
     return float((mesh.triangle_areas() / 3.0) @ vals.sum(axis=1))
 
 
@@ -429,8 +420,9 @@ class Solution:
     """Converged FEM field: a torsion fixed point or a ground mode.
 
     ``u`` is nodal on the full mesh (zeros on the boundary) and ``weight``
-    the nodal metric weight the problem was assembled with; ``w_mid`` is
-    its interpolant at the quadrature points.  A torsion solution of
+    the read-only nodal metric weight the problem was assembled with, from
+    :func:`nodal_weight`; integrals interpolate it to the quadrature points
+    with :func:`midpoint_values` where they need it.  A torsion solution of
     lap u = -u^gamma carries ``gamma``; a ground mode of lap u = -lam u,
     normalised to unit weighted L2 norm with u > 0 inside, carries ``lam``.
     ``residuals`` holds the increments of the iteration, one per step, or
@@ -448,13 +440,9 @@ class Solution:
     gamma: float | None = None
     lam: float | None = None
     restarted: bool = False
-    w_mid: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         self.u.setflags(write=False)
-        w_mid = midpoint_values(self.mesh, self.weight)
-        w_mid.setflags(write=False)
-        object.__setattr__(self, "w_mid", w_mid)
 
     @property
     def residual(self) -> float:

@@ -101,6 +101,17 @@ def test_variation_without_interior_exits_2(mode):
     assert "no interior vertices" in res.stderr
 
 
+def test_variation_eigen_takes_the_solver_knobs():
+    # --tol and --max-iter reach the eigensolve, as they reach Newton
+    base = ("variation", "--mesh", "disk:1:20", "--eigen")
+    res = run_cli(*base, "--max-iter", "1")
+    assert res.returncode == 3
+    assert "inverse iteration stalled" in res.stderr
+    res = run_cli(*base, "--tol", "-1")
+    assert res.returncode == 2
+    assert "tol must be positive" in res.stderr
+
+
 def test_numerical_failure_exit_3():
     res = run_cli("solve", "--mesh", "disk:1:16", "--gamma", "0.6",
                   "--max-iter", "2")

@@ -228,8 +228,9 @@ def _reference_slice(solution, t):
     straddle = ~full & (u_nod.max(axis=1) > t)
     areas = mesh.triangle_areas()
     u_mid = np.maximum(solver.midpoint_values(mesh, u), 0.0)
-    a_val = float(((areas / 3.0) * solution.w_mid.sum(axis=1))[full].sum())
-    i_val = float(((areas / 3.0) * (solution.w_mid * u_mid ** gamma)
+    w_mid = solver.midpoint_values(mesh, solution.weight)
+    a_val = float(((areas / 3.0) * w_mid.sum(axis=1))[full].sum())
+    i_val = float(((areas / 3.0) * (w_mid * u_mid ** gamma)
                    .sum(axis=1))[full].sum())
     flux = 0.0
     grads = solver.p1_gradients(mesh, u)

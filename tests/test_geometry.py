@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -103,44 +102,25 @@ def test_user_metric_table(tmp_path):
     np.savetxt(bad, np.column_stack([r[::-1], np.sin(r)]))
     with pytest.raises(ValueError):
         geometry.user_metric(str(bad))
+    # the quintic spline needs six rows
+    short = tmp_path / "short.txt"
+    np.savetxt(short, np.column_stack([r[:5], np.sin(r[:5])]))
+    with pytest.raises(ValueError, match=">= 6 rows"):
+        geometry.user_metric(str(short))
 
 
-def test_warp_pair_is_warp_and_dwarp(tmp_path):
-    # the one-call pair of the shooting right-hand sides gives the very
-    # floats of warp and dwarp, through the cone collar (r ~ eps) and out to
-    # r_max, so the oracle's numbers do not depend on which it calls
-    table = tmp_path / "warp.txt"
-    r = np.linspace(0.0, 2.0, 41)
-    np.savetxt(table, np.column_stack([r, np.sin(r)]))
-    metrics = [tl.flat_metric(), tl.sphere_metric(), tl.hyperbolic_metric(),
-               tl.cone_metric(0.5, eps=0.02), tl.cone_metric(0.25, eps=0.05),
-               tl.user_metric(str(table))]
-    for metric in metrics:
-        grid = np.concatenate([np.geomspace(1e-9, 0.2, 400),
-                               np.linspace(0.2, metric.r_max, 400)])
-        f, df = metric.warp_pair(grid)
-        assert np.array_equal(f, metric.warp(grid)), metric.name
-        assert np.array_equal(df, metric.dwarp(grid)), metric.name
-    # every named metric forms its pair in one call, not through the two
-    # calls of the default pair
-    for metric in metrics[:-1]:
-        assert not isinstance(metric.warp_pair, geometry._SeparatePair)
+def test_warp_pair_is_warp_and_dwarp():
     # the cone's pair forms exp(-(r/eps)^2) once, and still gives the floats
-    # of f and f' written out in full
+    # of f and f' written out in full, through the collar (r ~ eps) and out
+    # to r_max
+    grid = np.concatenate([np.geomspace(1e-9, 0.2, 400),
+                           np.linspace(0.2, 64.0, 400)])
     for beta, eps in ((0.5, 0.02), (0.25, 0.05)):
         f, df = tl.cone_metric(beta, eps=eps).warp_pair(grid)
         g = np.exp(-((grid / eps) ** 2))
         assert np.array_equal(f, grid * (beta + (1.0 - beta) * g))
         assert np.array_equal(
             df, beta + (1.0 - beta) * g * (1.0 - 2.0 * grid**2 / eps**2))
-    # without a pair of its own, a metric pairs its current warp and dwarp,
-    # through dataclasses.replace as well
-    sphere = geometry.RadialMetric(warp=np.sin, dwarp=np.cos,
-                                   d2warp=lambda r: -np.sin(r), r_max=3.0)
-    assert np.array_equal(sphere.warp_pair(grid[:5]), (np.sin(grid[:5]),
-                                                       np.cos(grid[:5])))
-    doubled = dataclasses.replace(sphere, dwarp=lambda r: 2.0 * np.cos(r))
-    assert np.array_equal(doubled.warp_pair(1.0)[1], 2.0 * np.cos(1.0))
 
 
 def test_tau_value_coercion():
@@ -159,8 +139,8 @@ def test_metrics_carry_their_exact_tau():
     for metric in (tl.sphere_metric(), tl.hyperbolic_metric()):
         assert metric.tau is None
     sphere = tl.sphere_metric()
-    warps = {"warp": sphere.warp, "dwarp": sphere.dwarp,
-             "d2warp": sphere.d2warp, "r_max": 1.0}
+    warps = {"warp_pair": sphere.warp_pair, "d2warp": sphere.d2warp,
+             "r_max": 1.0}
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             geometry.RadialMetric(**warps, tau=bad)
