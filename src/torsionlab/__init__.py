@@ -19,8 +19,6 @@ from .mesh import (TriMesh, boundary_geometry, build_disk_mesh,
                    build_ellipse_mesh, build_rectangle_mesh, load_mesh,
                    map_mesh, mesh_from_spec, save_mesh)
 from .solver import Solution, cg_solve, solve_eigen, solve_torsion
-from .radial_oracle import (RadialEigen, RadialProfile, flat_disk_torsion,
-                            shoot_eigen, shoot_torsion, sweep_Q, sweep_eigen_Q)
 from .functionals import (EigenIsoperimetryRatio, IsoperimetryRatio,
                           RigidityReport, area, boundary_length,
                           boundary_normal_derivative,
@@ -39,4 +37,23 @@ from .conformal import (ConformalMap, cubic_map, image_variation_diagnostic,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The radial oracle and its names load on first use (PEP 562): its
+# scipy.integrate and scipy.optimize serve none of the FEM modules.
+_ORACLE_NAMES = ("radial_oracle", "RadialEigen", "RadialProfile",
+                 "flat_disk_torsion", "shoot_eigen", "shoot_torsion",
+                 "sweep_Q", "sweep_eigen_Q")
+
+__all__ = sorted(name for name in {*dir(), *_ORACLE_NAMES}
+                 if not name.startswith("_"))
+
+
+def __getattr__(name):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    oracle = import_module(f"{__name__}.radial_oracle")
+    return oracle if name == "radial_oracle" else getattr(oracle, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE_NAMES})

@@ -22,11 +22,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+# scipy.spatial and the radial oracle are imported by the functions that
+# use them, which no FEM subcommand calls
 from .errors import DomainError
 from .mesh import build_disk_mesh, map_mesh
-from .radial_oracle import flat_disk_torsion
 from .shape import fd_validate_torsion, radial_flow
 from .solver import solve_torsion
 from .functionals import rigidity
@@ -63,6 +63,7 @@ def _certify(name, fz, dfz, radius, n_r=64, n_theta=64):
     if np.min(np.abs(dw)) <= _GRID_TOL:
         raise ValueError(f"map {name!r}: derivative vanishes inside the "
                          f"claimed univalence radius {radius:g}")
+    from scipy.spatial import cKDTree
     if cKDTree(np.column_stack([w.real, w.imag])).query_pairs(_GRID_TOL):
         raise ValueError(f"map {name!r}: images collide on the sample "
                          f"grid inside radius {radius:g}")
@@ -230,6 +231,7 @@ def schwarz_ratio_sweep(cmap: ConformalMap, gamma: float, r_grid,
     r_grid = np.asarray(r_grid, dtype=float)
     if len(r_grid) == 0 or np.any(np.diff(r_grid) <= 0.0):
         raise ValueError("r_grid must be nonempty and strictly increasing")
+    from .radial_oracle import flat_disk_torsion
     radii = [float(r) for r in r_grid]
     rows = []
     for r, t_image in zip(radii, _image_rigidities(cmap, gamma, radii,

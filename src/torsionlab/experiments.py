@@ -28,7 +28,9 @@ import time
 
 import numpy as np
 
-from . import conformal, functionals, geometry, radial_oracle, shape, solver
+# radial_oracle is imported inside each subcommand and criterion that
+# shoots: its scipy.integrate and scipy.optimize serve no FEM subcommand
+from . import conformal, functionals, geometry, shape, solver
 from . import mesh as meshmod
 from .errors import ConvergenceError, DeformationError, OracleError
 
@@ -40,7 +42,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
-_J0_SQUARED = radial_oracle.FLAT_DISK_EIGENVALUE
+_J0_SQUARED = geometry.FLAT_DISK_EIGENVALUE
 
 
 def _py(obj):
@@ -257,6 +259,7 @@ def _cmd_variation(args):
 
 
 def _cmd_radial(args):
+    from . import radial_oracle
     metric = geometry.metric_from_spec(args.metric)
     prof = radial_oracle.shoot_torsion(metric, args.gamma, args.radius)
     outputs = {
@@ -279,6 +282,7 @@ def _cmd_radial(args):
 
 
 def _cmd_monotonicity(args):
+    from . import radial_oracle
     metric = geometry.metric_from_spec(args.metric)
     r_grid = _parse_grid(args.grid)
     tau = _resolve_tau(metric, args.tau, r_grid)
@@ -308,6 +312,7 @@ def _cmd_monotonicity(args):
 
 
 def _cmd_eigen_monotonicity(args):
+    from . import radial_oracle
     metric = geometry.metric_from_spec(args.metric)
     r_grid = _parse_grid(args.grid)
     tau = _resolve_tau(metric, args.tau, r_grid)
@@ -349,6 +354,7 @@ def _cmd_schwarz(args):
 
 
 def _cmd_scaling(args):
+    from . import radial_oracle
     metric = geometry.metric_from_spec(args.metric)
     if metric.name != "flat":
         raise ValueError("the scaling law is exact only for the flat metric")
@@ -454,6 +460,7 @@ def _criterion(num: int, title: str, checks: list) -> dict:
 
 
 def _c01_reference_disk(bench):
+    from . import radial_oracle
     prof = radial_oracle.shoot_torsion(geometry.flat_metric(), 0.0, 1.0)
     sol, rep = bench.torsion(_DISK_SPEC, 0.0)
     t_exact = math.pi / 8.0
@@ -570,6 +577,7 @@ def _c08_eigen_variation(bench):
 
 
 def _c09_scaling(bench):
+    from . import radial_oracle
     flat = geometry.flat_metric()
     checks = []
     for g in _GAMMAS:
@@ -583,6 +591,7 @@ def _c09_scaling(bench):
 
 
 def _c10_monotonicity(bench):
+    from . import radial_oracle
     flat = geometry.flat_metric()
     grid = np.linspace(0.5, 3.0, 6)
     checks = []
@@ -614,6 +623,7 @@ def _c10_monotonicity(bench):
 
 
 def _c11_eigen_monotonicity(bench):
+    from . import radial_oracle
     flat = geometry.flat_metric()
     rows = radial_oracle.sweep_eigen_Q(flat, _TAU, np.array([0.5, 1.0, 2.0]))
     qs = np.array([row["Q"] for row in rows])

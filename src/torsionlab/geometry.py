@@ -20,9 +20,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import make_interp_spline
 
+# scipy.integrate and scipy.interpolate are imported by the functions that
+# use them, which no FEM subcommand calls
 from .errors import DomainError
 
 _POLE_PROBE = 1e-8
@@ -31,6 +31,7 @@ _MONOTONE_RTOL = 1e-9
 _BOUND_SLACK = 1e-9
 
 TAU_FLAT = 4.0 * math.pi
+FLAT_DISK_EIGENVALUE = 5.783185962946785  # j_0^2: j_0 is the first zero of J0
 
 
 def tau_value(tau) -> float:
@@ -136,6 +137,7 @@ def disk_area(metric: RadialMetric, r) -> float:
     r = check_radius(metric, r)
     if r.ndim > 0:
         return np.array([disk_area(metric, ri) for ri in r])
+    from scipy.integrate import quad
     val, _ = quad(lambda s: float(metric.f(s)), 0.0, float(r),
                   epsabs=1e-14, epsrel=1e-10, limit=200)
     return 2.0 * math.pi * val
@@ -271,6 +273,7 @@ def user_metric(path: str) -> RadialMetric:
     r, f = data[:, 0], data[:, 1]
     if np.any(np.diff(r) <= 0.0):
         raise ValueError(f"warp table {path!r} must have strictly increasing radii")
+    from scipy.interpolate import make_interp_spline
     spline = make_interp_spline(r, f, k=5)
     return RadialMetric(warp_pair=lambda x: (spline(x), spline(x, 1)),
                         d2warp=spline.derivative(2), r_max=float(r[-1]),

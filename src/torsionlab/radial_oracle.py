@@ -34,8 +34,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq  # noqa: F401
 
 from .errors import DomainError, OracleError
-from .geometry import (RadialMetric, check_gamma, check_radius, circle_length,
-                       disk_area, flat_metric, tau_value)
+from .geometry import (FLAT_DISK_EIGENVALUE, RadialMetric, check_gamma,
+                       check_radius, circle_length, disk_area, flat_metric,
+                       tau_value)
 
 _RTOL = 1e-12
 _START_FRAC = 1e-6  # series start at r0 = frac * R
@@ -52,7 +53,6 @@ _EIGEN_LAND_TOL = 1e-9  # |u(R)| / u(0) allowed in the final eigen shot
 # radii per lockstep shot: rtol / sqrt(n) stays above the 100 eps floor
 # below which solve_ivp raises rtol
 _BATCH = 64
-FLAT_DISK_EIGENVALUE = 5.783185962946785  # square of the first zero of J0
 
 
 def _integrate_torsion(metric, gamma, radii, alphas, augmented, dense=False):
