@@ -328,7 +328,9 @@ def mesh_from_spec(spec: str) -> TriMesh:
 
     Forms: ``disk:R:n``, ``ellipse:a:b:n``, ``rect:w:h:nx:ny``,
     ``file:<path>``, ``image:<mapspec>:R:n`` (mapspec may itself contain
-    colons, e.g. ``image:quad:0.2:1.0:40``).
+    colons, e.g. ``image:quad:0.2:0.9:40``; R must lie strictly below the
+    map's univalence radius).  A ``file:`` path that cannot be read raises
+    its OSError.
     """
     kind, _, rest = spec.partition(":")
     try:
@@ -349,7 +351,7 @@ def mesh_from_spec(spec: str) -> TriMesh:
 
             base = build_disk_mesh(float(r), int(n))
             return map_mesh(base, conformal.map_from_spec(mapspec))
-    except (ValueError, DomainError):
+    except (ValueError, DomainError, OSError):
         raise
     except Exception as exc:
         raise ValueError(f"unrecognized mesh spec {spec!r}") from exc

@@ -7,26 +7,40 @@ prints the one-line verdict, so -s shows the same table the CLI prints.
 
 import pytest
 
-from torsionlab import experiments, solver
+from torsionlab import experiments, mesh_from_spec, shape, solver
 
 
 @pytest.fixture(scope="session")
-def acceptance_report():
+def acceptance_run():
     # the solver keeps the float32 factor of the last topology solved on:
     # 14 factorisations a pass, where one for each solve outside an fd
     # check or a sweep, and one for each of those, would make 24
     factors = []
     factor = solver._factor
+    # the vertex counts of the meshes whose operators are alive as c08's
+    # eigenvalue check starts, once a pass
+    live_at_c08 = []
+    fd_validate_eigen = shape.fd_validate_eigen
 
     def counting(K):
         factors.append(K.shape)
         return factor(K)
 
+    def recording(mesh, *args, **kwargs):
+        live_at_c08.append(sorted(len(m.vertices) for m in solver._OPERATORS))
+        return fd_validate_eigen(mesh, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_factor", counting)
+        mp.setattr(shape, "fd_validate_eigen", recording)
         report = experiments.run_acceptance()
     assert len(factors) <= 28
-    return report
+    return report, live_at_c08
+
+
+@pytest.fixture(scope="session")
+def acceptance_report(acceptance_run):
+    return acceptance_run[0]
 
 
 def _assert_criterion(report, num):
@@ -92,3 +106,16 @@ def test_criterion_12_conformal_ratio(acceptance_report):
 def test_criterion_13_determinism(acceptance_report):
     _assert_criterion(acceptance_report, 13)
     assert acceptance_report["pass"] is True
+
+
+def test_pass_drops_the_meshes_no_criterion_reads(acceptance_run):
+    # c02, c03 and c05 read only the rigidity reports of the ellipse and the
+    # square, so neither mesh, nor its operator, outlives the reference
+    # solves; c08, the battery's peak, starts without them
+    _, live_at_c08 = acceptance_run
+    dropped = {len(mesh_from_spec(spec).vertices)
+               for spec in (experiments._ELLIPSE_SPEC,
+                            experiments._SQUARE_SPEC)}
+    assert len(live_at_c08) == 2  # once in each pass
+    for sizes in live_at_c08:
+        assert sizes and not dropped & set(sizes)

@@ -452,6 +452,20 @@ def test_cli_fuzz_findings(argv, code, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["missing.mesh", "."])
+def test_unreadable_mesh_file_exits_2_with_its_os_error(name, tmp_path, capsys):
+    # a missing file and a directory both read "unrecognized mesh spec"
+    # until mesh_from_spec let the OSError through, as user: metrics and
+    # --params files do
+    path = tmp_path / name
+    with pytest.raises(OSError) as exc:
+        open(path)
+    code = experiments.main(["solve", "--mesh", f"file:{path}"])
+    out, err = capsys.readouterr()
+    assert code == experiments.EXIT_USAGE
+    assert out == "" and err == f"error: {exc.value}\n"
+
+
 @pytest.mark.parametrize("argv, failed", [
     (("solve", "--mesh", "disk:0.2:4", "--gamma", "0.9"), []),
     (("solve", "--mesh", "disk:0.2:4", "--gamma", "0.95"), []),
