@@ -6,8 +6,9 @@ Every subcommand builds a JSON payload with the same skeleton:
      "verdicts": [...], "pass": bool}
 
 The payload goes to stdout with sorted keys and repr-exact floats, so two
-runs with the same inputs produce byte-identical reports.  Wall-clock time
-is printed to stderr only; it never enters the payload.  Tabular results
+runs with the same inputs produce byte-identical reports.  Wall-clock and
+CPU time are printed to stderr only, as are the radial oracle's search
+rounds and integrations; they never enter the payload.  Tabular results
 (sweeps, level-set profiles) are written as CSV when --out is given and
 --format is csv or both.
 
@@ -258,6 +259,22 @@ def _cmd_variation(args):
     return _payload("variation", inputs, outputs, verdicts), {}, {}
 
 
+def _oracle_counted(handler):
+    """``handler`` that then prints one stderr line, the oracle's search
+    rounds and integrations during it, which the report leaves out."""
+    def run(args):
+        from . import radial_oracle
+        before = dict(radial_oracle.COUNTS)
+        result = handler(args)
+        rounds, ivps = (radial_oracle.COUNTS[key] - before[key]
+                        for key in ("rounds", "integrations"))
+        print(f"# oracle: {rounds} search rounds, {ivps} integrations",
+              file=sys.stderr)
+        return result
+    return run
+
+
+@_oracle_counted
 def _cmd_radial(args):
     from . import radial_oracle
     metric = geometry.metric_from_spec(args.metric)
@@ -281,6 +298,7 @@ def _cmd_radial(args):
     return _payload("radial", inputs, outputs, verdicts), {}, {}
 
 
+@_oracle_counted
 def _cmd_monotonicity(args):
     from . import radial_oracle
     metric = geometry.metric_from_spec(args.metric)
@@ -311,6 +329,7 @@ def _cmd_monotonicity(args):
     return _payload("monotonicity", inputs, outputs, verdicts), tables, {}
 
 
+@_oracle_counted
 def _cmd_eigen_monotonicity(args):
     from . import radial_oracle
     metric = geometry.metric_from_spec(args.metric)
@@ -353,6 +372,7 @@ def _cmd_schwarz(args):
     return _payload("schwarz", inputs, outputs, verdicts), tables, {}
 
 
+@_oracle_counted
 def _cmd_scaling(args):
     from . import radial_oracle
     metric = geometry.metric_from_spec(args.metric)
@@ -909,7 +929,7 @@ def _parse(argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    started = time.perf_counter()
+    started, cpu = time.perf_counter(), time.process_time()
     try:
         args = _parse(argv)
         payload, tables, files = _COMMANDS[args.command](args)
@@ -923,8 +943,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # a defect, not a verdict: keep it off exit 1
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    elapsed = time.perf_counter() - started
-    print(f"# runtime {elapsed:.2f}s", file=sys.stderr)
+    # process CPU counts every thread; well above wall time, it shows
+    # threads that spin or work beside the main one
+    print(f"# runtime {time.perf_counter() - started:.2f}s, "
+          f"cpu {time.process_time() - cpu:.2f}s", file=sys.stderr)
     return EXIT_PASS if payload["pass"] else EXIT_FAIL
 
 

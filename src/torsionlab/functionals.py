@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .geometry import tau_value
 from .mesh import boundary_geometry
-from .solver import (_triangle_gradients, integrate_midpoint, midpoint_values,
-                     nodal_weight, p1_gradients)
+from .solver import (_dot, _triangle_gradients, integrate_midpoint,
+                     midpoint_values, nodal_weight, p1_gradients)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,7 +63,7 @@ def _boundary_weight(mesh, w_nodal):
 def area(mesh, weight=None) -> float:
     """Metric area of the meshed domain."""
     w_mid = midpoint_values(mesh, nodal_weight(mesh, weight))
-    return float((mesh.triangle_areas() / 3.0) @ w_mid.sum(axis=1))
+    return integrate_midpoint(mesh, 1.0, w_mid)
 
 
 def boundary_length(mesh, weight=None) -> float:
@@ -89,7 +89,7 @@ def rigidity(solution) -> RigidityReport:
         return RigidityReport(0.0, 0.0, 0.0, 0.0, 0.0)
     grads = p1_gradients(mesh, u)
     areas = mesh.triangle_areas()
-    T_grad = float(areas @ (grads * grads).sum(axis=1))
+    T_grad = float(_dot(areas, (grads * grads).sum(axis=1)))
 
     u_mid = np.maximum(midpoint_values(mesh, u), 0.0)
     w_mid = midpoint_values(mesh, solution.weight)

@@ -54,6 +54,10 @@ _EIGEN_LAND_TOL = 1e-9  # |u(R)| / u(0) allowed in the final eigen shot
 # below which solve_ivp raises rtol
 _BATCH = 64
 
+# search rounds (shots of a lockstep round) and solve_ivp integrations run
+# in this process, for the CLI's stderr line; no report reads them
+COUNTS = {"rounds": 0, "integrations": 0}
+
 
 def _integrate_torsion(metric, gamma, radii, alphas, augmented, dense=False):
     """One DOP853 shot of n radii at once, in s = r / R_k from the series
@@ -91,6 +95,7 @@ def _integrate_torsion(metric, gamma, radii, alphas, augmented, dense=False):
                np.pi * ag * alphas * r0 * r0]
         atol += [1e-14 * alphas] * 3
     root_n = np.sqrt(n)
+    COUNTS["integrations"] += 1
     sol = solve_ivp(rhs, (_START_FRAC, 1.0), np.concatenate(y0),
                     method="DOP853", rtol=_RTOL / root_n,
                     atol=np.concatenate(atol) / root_n, max_step=_MAX_STEP,
@@ -179,6 +184,7 @@ def _lockstep(searches, shoot):
     trials = np.array([next(search) for search in searches])
     open_ = list(range(len(searches)))
     while open_:
+        COUNTS["rounds"] += 1
         shots = shoot(trials)
         for k in list(open_):
             try:
@@ -357,6 +363,7 @@ def _integrate_eigen(metric, radii, lams, augmented, dense=False):
     else:
         events = [lambda s, y, k=k: y[k] for k in range(n)]
     root_n = np.sqrt(n)
+    COUNTS["integrations"] += 1
     sol = solve_ivp(rhs, (_START_FRAC, 1.0), np.concatenate(y0),
                     method="DOP853", rtol=_RTOL / root_n,
                     atol=np.concatenate(atol) / root_n, events=events,

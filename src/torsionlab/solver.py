@@ -18,6 +18,9 @@ Newton step the Eisenstat-Walker forcing term, loose while the nonlinear
 residual is large and tight once it falls quadratically, but never
 tighter than float64 can resolve that residual.  Both loops are
 deterministic; reruns of the same solves give bit-identical iterates.
+Their inner products and norms are :func:`_dot`, numpy's own loop, never
+BLAS, whose threaded dot product rounds by the thread count, so the
+iterates do not depend on that count either.
 """
 
 from __future__ import annotations
@@ -292,12 +295,27 @@ def load_vector(op, w) -> np.ndarray:
     return 2.0 * op.vertex_sums(op.edge_mass(w))
 
 
+def _dot(a, b):
+    """Inner product of two float64 vectors in numpy's own single-threaded
+    loop, never BLAS.  Above 10^4 entries OpenBLAS splits a dot product
+    across threads, which rounds by the thread count and leaves a helper
+    thread spinning between calls; this loop costs about twice a
+    single-threaded ddot.  Returns a numpy float64, so that a quotient of
+    two of them keeps numpy's division semantics."""
+    return np.einsum("i,i->", a, b)
+
+
+def _norm(a):
+    """2-norm of a float64 vector, the square root of :func:`_dot`."""
+    return np.sqrt(_dot(a, a))
+
+
 def integrate_midpoint(mesh, vals_mid, w_mid) -> float:
     """Integrate a midpoint-sampled field against the metric weight, both
     of shape (ntri, 3); ``w_mid`` is :func:`midpoint_values` of the nodal
     weight."""
     vals = np.asarray(vals_mid, dtype=float) * w_mid
-    return float((mesh.triangle_areas() / 3.0) @ vals.sum(axis=1))
+    return float(_dot(mesh.triangle_areas() / 3.0, vals.sum(axis=1)))
 
 
 def p1_gradients(mesh, u) -> np.ndarray:
@@ -325,7 +343,9 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
     identity when None, which is plain CG).  The stopping test is always
     the float64 relative residual ||b - A x|| / ||b|| <= tol, whatever the
     precision of the preconditioner.  Deterministic and warm-startable;
-    returns (x, iterations).  b and x0 are scaled by the power of two that
+    returns (x, iterations).  Its inner products and norms are
+    :func:`_dot`, which never calls BLAS, so x does not depend on the BLAS
+    thread count either.  b and x0 are scaled by the power of two that
     brings max|b| into [0.5, 1), and x back: that is exact, so in-range
     solves are bit-identical to unscaled ones, and a tiny or huge b keeps
     the loop and a float32 ``precond`` in range; the caller checks the
@@ -345,22 +365,22 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
             f"cg broke down: the right-hand side is not finite (max |b| = {top})")
     k = np.frexp(top)[1]
     b = np.ldexp(b, -k)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(_norm(b))
     if max_iter is None:
         max_iter = max(10 * n, 50)
     x = np.zeros(n) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -k)
     r = b - A @ x
     z = r if precond is None else precond(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = float(_dot(r, z))
     history = []
     for it in range(max_iter):
-        rel = np.sqrt(float(r @ r)) / bnorm
+        rel = _norm(r) / bnorm
         history.append(rel)
         if rel <= tol:
             return np.ldexp(x, k), it
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = float(_dot(p, Ap))
         if not 0.0 < pAp < np.inf:
             raise ConvergenceError(
                 f"cg broke down at iteration {it}: p.Ap = {pAp}", history=history)
@@ -368,7 +388,7 @@ def cg_solve(A, b, x0=None, tol=1e-12, max_iter=None, precond=None):
         x += alpha * p
         r -= alpha * Ap
         z = r if precond is None else precond(r)
-        rz_new = float(r @ z)
+        rz_new = float(_dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise ConvergenceError(
@@ -514,7 +534,8 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
                 # (1 - gamma) u.K u at the solution, J is near singular or
                 # indefinite along the start and its first step overshoots
                 x = u[interior]
-                if gamma * (x @ F) > 0.5 * (1.0 + gamma) * (x @ (F - r)):
+                if (gamma * _dot(x, F)
+                        > 0.5 * (1.0 + gamma) * _dot(x, F - r)):
                     return None
             prev, norm = norm, _scaled_norm(r)
             eta = (1e-12 if gamma == 0.0
@@ -552,8 +573,7 @@ def solve_torsion(mesh, gamma, weight=None, tol=1e-10, max_iter=200,
         # monotonically to the positive one
         u[interior], _ = cg_solve(K, F0, tol=1e-12, precond=precond)
         if gamma == 0.0:
-            res = float(np.linalg.norm(F0 - K @ u[interior])
-                        / np.linalg.norm(F0))
+            res = float(_norm(F0 - K @ u[interior]) / _norm(F0))
             if res <= tol:
                 return _torsion_solution(mesh, u, w, [res], gamma, restarted)
         u *= max(1.0, u.max()) ** (gamma / (1.0 - gamma))
@@ -580,7 +600,7 @@ def _scaled_norm(r):
     top = float(np.abs(r).max())
     if top == 0.0:
         return 0.0, 0.0
-    return top, float(np.linalg.norm(r / top))
+    return top, float(_norm(r / top))
 
 
 def _forcing(norm, prev, load=None):
@@ -653,14 +673,14 @@ def solve_eigen(mesh, weight=None, tol=1e-12, max_iter=500,
             raise ValueError("initial eigenvector guess must be finite")
         if float(np.abs(x).max()) == 0.0:
             raise ValueError("initial eigenvector guess is identically zero")
-    x /= np.sqrt(float(x @ (M @ x)))
-    lam = float(x @ (K @ x))
+    x /= np.sqrt(float(_dot(x, M @ x)))
+    lam = float(_dot(x, K @ x))
     warm = x / lam
     residuals = []
     for it in range(1, max_iter + 1):
         y, _ = cg_solve(K, M @ x, x0=warm, tol=1e-13, precond=precond)
-        x = y / np.sqrt(float(y @ (M @ y)))
-        lam_new = float(x @ (K @ x))
+        x = y / np.sqrt(float(_dot(y, M @ y)))
+        lam_new = float(_dot(x, K @ x))
         res = abs(lam_new - lam) / abs(lam_new)
         residuals.append(res)
         lam = lam_new

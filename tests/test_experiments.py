@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 
@@ -161,6 +163,57 @@ def test_double_run_byte_identity():
                 "--grid", "0.5:2:4")
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--mesh", "disk:1:60", "--gamma", "0.3"),
+    ("eigen-isoperimetry", "--mesh", "disk:1:80"),
+])
+def test_stdout_does_not_depend_on_the_blas_thread_count(argv):
+    # OpenBLAS splits a dot product of over 10^4 entries across its threads,
+    # and the sum rounds by their count; the solver's reductions keep off
+    # BLAS.  OpenBLAS caps its threads at the CPU count, so on a one-CPU
+    # machine both runs use one thread and the test cannot tell them apart
+    outs = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-m", "torsionlab.experiments", *argv],
+            capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert res.returncode == 0
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["monotonicity", "eigen-monotonicity",
+                                     "radial", "scaling"])
+def test_oracle_search_rounds_go_to_stderr(command, capsys, monkeypatch):
+    from torsionlab import radial_oracle
+    integrations = []
+    solve_ivp = radial_oracle.solve_ivp
+
+    def counted(*args, **kwargs):
+        integrations.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(radial_oracle, "solve_ivp", counted)
+    assert experiments.main([command]) == 0
+    out, err = capsys.readouterr()
+    assert "oracle" not in out
+    lines = [line for line in err.splitlines() if line.startswith("# oracle")]
+    assert len(lines) == 1
+    found = re.fullmatch(r"# oracle: (\d+) search rounds, (\d+) integrations",
+                         lines[0])
+    rounds, ivps = map(int, found.groups())
+    # each round shoots once, and the roots get one final shot
+    assert ivps == len(integrations) and 0 < rounds < ivps
+
+
+def test_fem_stderr_is_the_runtime_line_with_cpu_time(capsys):
+    # no oracle line either: a FEM subcommand shoots nothing
+    assert experiments.main(["solve", "--mesh", "disk:1:8"]) == 0
+    assert re.fullmatch(r"# runtime \d+\.\d\ds, cpu \d+\.\d\ds\n",
+                        capsys.readouterr().err)
 
 
 def test_levelsets_byte_identity_in_process(capsys):

@@ -51,6 +51,23 @@ def test_cg_breakdown_raises_convergence_error():
     assert len(err.value.history) == 1
 
 
+@pytest.mark.parametrize("n", [5_000, 66_049, 200_000])
+def test_dot_agrees_with_blas_and_repeats_bit_for_bit(n):
+    # the solver's reductions; sizes past OpenBLAS's 10^4-entry threading
+    # threshold, up to the largest meshes of the benchmark and beyond
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    scale = np.abs(a) @ np.abs(b)  # the forward error bound's scale
+    assert abs(solver._dot(a, b) - np.dot(a, b)) <= 1e-14 * scale
+    assert solver._norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-14)
+    first = solver._dot(a, b)
+    assert all(solver._dot(a, b) == first for _ in range(5))
+    # nor does the sum depend on where the vectors sit in memory
+    shifted = np.empty((2, n + 1))[:, 1:]
+    shifted[:] = a, b
+    assert solver._dot(*shifted) == first
+
+
 def _full_rows(m, op, u):
     """Interior rows of the full stiffness matrix times the nodal field u:
     the operator's K u on the interior plus the reference's couplings to
@@ -132,7 +149,7 @@ def test_gamma_zero_returns_the_linear_solve(disk40, monkeypatch):
     # computes it; the independent load of _equation_residual agrees
     op = solver.assemble_stiffness(disk40)
     F0 = solver.load_vector(op, sol.weight)
-    res = np.linalg.norm(F0 - op.K @ sol.u[op.interior]) / np.linalg.norm(F0)
+    res = solver._norm(F0 - op.K @ sol.u[op.interior]) / solver._norm(F0)
     assert sol.residuals == (res,)
     assert _equation_residual(sol) <= 1e-11
     assert sol.residual <= 1e-11
